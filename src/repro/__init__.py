@@ -18,8 +18,11 @@ Layering (bottom-up):
 * :mod:`repro.experiments` / :mod:`repro.analysis` -- the evaluation
   harness regenerating every table and figure.
 * :mod:`repro.runner` -- resilient process-pool batch execution of
-  independent scenarios (crash isolation, timeouts, retries,
-  checkpoint/resume) with a persistent, code-version-salted results cache.
+  independent scenarios (crash isolation, timeouts, retries) with a
+  persistent, code-version-salted results cache.
+* :mod:`repro.campaign` -- scenario grids executed by work-stealing
+  workers over a shared directory: the resumable result store, pinned to
+  the code version that wrote it.
 * :mod:`repro.invariants` -- runtime correctness checks (conservation,
   monotonicity, bounds) armed per scenario; :mod:`repro.fuzz` drives them
   over seeded random configs with differential oracles (``repro fuzz``).

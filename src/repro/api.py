@@ -148,7 +148,7 @@ def sweep(scenarios=None, /, *, jobs: int = 1, cache=None,
     derives all randomness from its own ``seed``.
 
     Resilience keywords (``on_error="capture"``, ``timeout``, ``retries``,
-    ``retry_backoff_s``, ``checkpoint``) pass through to
+    ``retry_backoff_s``) pass through to
     :func:`repro.runner.run_batch`; with ``on_error="capture"`` failed
     slots hold :class:`FailedResult` rows instead of raising.
 

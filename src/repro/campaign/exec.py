@@ -8,17 +8,19 @@ Two modes, one entry point (:func:`run_campaign`):
 * **Work-stealing** (``dir=PATH``): the campaign directory
   (:class:`~repro.campaign.store.CampaignStore`) is the only coordination
   channel.  Each worker loops over the (identically-ordered) cell list,
-  skips finished cells, claims one with ``O_CREAT|O_EXCL``, executes it
-  under the resilient runner (capture / timeout / retries), stores the
-  result atomically and releases the claim.  ``workers=N`` forks N child
-  processes over the same directory; running the same command on other
-  hosts sharing the filesystem adds workers the same way.  A killed worker
-  leaves an expiring lease; once it expires any worker (a survivor still
-  passing over the cells, or a later ``resume``) steals the cell and the
-  campaign finishes anyway.  Interrupt with SIGINT and ``resume`` later:
-  finished cells are
-  never re-executed, so the completed report is byte-identical to an
-  uninterrupted run.
+  skips finished cells, claims one (a hard-linked lease file), executes
+  it under the resilient runner (capture / timeout / retries), stores the
+  result atomically and releases the claim.  The stored cell is the only
+  copy of a result; the worker's heartbeat file counts what it executed.
+  ``workers=N`` forks N child processes over the same directory; running
+  the same command on other hosts sharing the filesystem adds workers the
+  same way.  A killed worker leaves an expiring lease; once it expires any
+  worker (a survivor still passing over the cells, or a later
+  ``resume``) steals the cell and the campaign finishes anyway.
+  Interrupt with SIGINT and ``resume`` later: finished cells are never
+  re-executed, so the completed report is byte-identical to an
+  uninterrupted run.  A resume under edited code is refused (the
+  manifest pins the code salt; see :mod:`.store`).
 
 Determinism: every cell derives all randomness from its own seed, so the
 result set is bit-identical for any worker count, any interleaving, and
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import pickle
 import signal
 import time
 
@@ -129,7 +130,6 @@ def worker_loop(store: CampaignStore,
     last flight-recorder note after (see :mod:`repro.obs.live`).
     """
     executed = 0
-    journal = store.journal()
     hb = (HeartbeatWriter(store.heartbeat_dir, store.worker)
           if heartbeat and heartbeat_enabled() else None)
     try:
@@ -166,11 +166,6 @@ def worker_loop(store: CampaignStore,
                     res = run_one(cfg, cache=cache, on_error="capture",
                                   timeout=timeout, retries=retries)
                     store.store_cell(key, res)
-                    try:
-                        journal.append(key, res)
-                    except (pickle.PicklingError, TypeError, AttributeError,
-                            OSError):
-                        pass
                     executed += 1
                     progressed = True
                     if hb is not None:
@@ -188,7 +183,6 @@ def worker_loop(store: CampaignStore,
     finally:
         if hb is not None:
             hb.close()
-        store.close()
     return executed
 
 
@@ -205,7 +199,7 @@ def _worker_main(root: str, worker: str, lease_s: float,
     # SIGTERM disposition would kill the process without unwinding, leaking
     # the in-flight claim as a live lease that blocks the next resume.
     # Translating it into KeyboardInterrupt runs worker_loop's finally
-    # (claim released, journal flushed) before exiting.
+    # (claim released, final heartbeat written) before exiting.
     signal.signal(signal.SIGTERM, _raise_interrupt)
     store = CampaignStore(root, worker=worker, lease_s=lease_s)
     try:

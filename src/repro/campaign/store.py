@@ -1,13 +1,21 @@
-"""Shared campaign directory: manifest, cell results, claims, journals.
+"""Shared campaign directory: manifest, cell results, claims, heartbeats.
 
 The store is the only coordination channel between campaign workers --
 N processes (or N hosts on a shared filesystem) operate on one directory
 with no sockets, no broker and no leader::
 
-    <dir>/manifest.json        campaign identity: spec + ordered cell list
-    <dir>/cells/<key>.pkl      one finished result per cell (atomic write)
-    <dir>/claims/<key>.json    lease held by the worker running the cell
-    <dir>/journal/<worker>.pkl per-worker completion journal (SweepJournal)
+    <dir>/manifest.json          campaign identity: spec, ordered cell
+                                 list and the code salt that wrote it
+    <dir>/cells/<key>.pkl        one finished result per cell (atomic write)
+    <dir>/claims/<key>.json      lease held by the worker running the cell
+    <dir>/heartbeats/<w>.json    per-worker liveness and done/failed counts
+
+Cell keys are unsalted (they name a configuration, not a code version),
+so the manifest pins the code version instead: :meth:`CampaignStore.init`
+refuses a directory written under a different :func:`code_salt`, and a
+resume after a code edit can never merge results from two code versions
+into one report.  Read-only consumers (``status``, ``watch``, ``serve``)
+never call ``init`` and keep working on such a directory.
 
 Claim protocol (work stealing)
 ------------------------------
@@ -37,9 +45,10 @@ import socket
 import tempfile
 import time
 
+from ..atomicio import atomic_write_bytes
 from ..experiments.common import ScenarioResult
-from ..runner.checkpoint import SweepJournal
 from ..runner.failures import FailedResult
+from ..runner.hashing import code_salt
 from .spec import Campaign
 
 __all__ = ["CampaignStore", "DEFAULT_LEASE_S"]
@@ -51,26 +60,11 @@ DEFAULT_LEASE_S = 300.0
 _RESULT_TYPES = (ScenarioResult, FailedResult)
 
 
-def _atomic_write_bytes(path: pathlib.Path, payload: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class CampaignStore:
     """Filesystem-backed state of one campaign run (see module docstring).
 
-    ``worker`` names this process in claims and its journal file; it only
-    needs to be unique among *concurrently live* workers.
+    ``worker`` names this process in claims and its heartbeat file; it
+    only needs to be unique among *concurrently live* workers.
     """
 
     def __init__(self, root: str | os.PathLike, *, worker: str | None = None,
@@ -82,10 +76,8 @@ class CampaignStore:
         self.lease_s = float(lease_s)
         self.cells_dir = self.root / "cells"
         self.claims_dir = self.root / "claims"
-        self.journal_dir = self.root / "journal"
         self.heartbeat_dir = self.root / "heartbeats"
         self.manifest_path = self.root / "manifest.json"
-        self._journal: SweepJournal | None = None
 
     # -- manifest ----------------------------------------------------------
     def init(self, campaign: Campaign) -> None:
@@ -94,9 +86,13 @@ class CampaignStore:
         First caller writes it atomically; later callers -- resumes, extra
         workers -- must present a campaign expanding to the *identical*
         ordered cell list, otherwise the directory belongs to a different
-        campaign and mixing them would corrupt both.
+        campaign and mixing them would corrupt both.  They must also run
+        the code version the manifest pins (its ``code_salt``): a
+        directory written by other code, or by a manifest that predates
+        the pin, is refused rather than resumed.
         """
         cells = [{"key": c.key, "label": c.label} for c in campaign.cells()]
+        salt = code_salt()
         existing = self.read_manifest()
         if existing is not None:
             if existing.get("cells") != cells:
@@ -104,16 +100,25 @@ class CampaignStore:
                     f"campaign directory {self.root} already holds campaign "
                     f"{existing.get('name')!r} with a different cell set; "
                     f"use a fresh directory")
+            pinned = existing.get("code_salt")
+            if pinned != salt:
+                theirs = pinned[:12] if isinstance(pinned, str) else "none"
+                raise ValueError(
+                    f"campaign directory {self.root} was written by code "
+                    f"version {theirs}, but this is code version "
+                    f"{salt[:12]}; resuming would mix results from two "
+                    f"code versions -- use a fresh directory")
             return
         manifest = {
-            "version": 1,
+            "version": 2,
             "name": campaign.name,
+            "code_salt": salt,
             "spec": campaign.to_mapping(),
             "cells": cells,
         }
-        _atomic_write_bytes(self.manifest_path,
-                            json.dumps(manifest, indent=1).encode())
-        for d in (self.cells_dir, self.claims_dir, self.journal_dir):
+        atomic_write_bytes(self.manifest_path,
+                           json.dumps(manifest, indent=1).encode())
+        for d in (self.cells_dir, self.claims_dir):
             d.mkdir(parents=True, exist_ok=True)
 
     def read_manifest(self) -> dict | None:
@@ -133,9 +138,9 @@ class CampaignStore:
     def store_cell(self, key: str, result: ScenarioResult | FailedResult
                    ) -> None:
         """Persist one finished cell (atomic; idempotent by construction)."""
-        _atomic_write_bytes(self.cell_path(key),
-                            pickle.dumps(result,
-                                         protocol=pickle.HIGHEST_PROTOCOL))
+        atomic_write_bytes(self.cell_path(key),
+                           pickle.dumps(result,
+                                        protocol=pickle.HIGHEST_PROTOCOL))
 
     def load_cell(self, key: str) -> ScenarioResult | FailedResult | None:
         """The stored result for ``key``, or None when missing/torn."""
@@ -234,7 +239,7 @@ class CampaignStore:
     def renew_claim(self, key: str) -> None:
         """Push this worker's lease deadline out (call between cells or
         from a long-running cell's supervisor)."""
-        _atomic_write_bytes(self.claim_path(key), self._lease_payload(1))
+        atomic_write_bytes(self.claim_path(key), self._lease_payload(1))
 
     def release_claim(self, key: str) -> None:
         """Drop the claim (after the result is stored, or on interrupt so
@@ -243,37 +248,6 @@ class CampaignStore:
             os.unlink(self.claim_path(key))
         except OSError:
             pass
-
-    # -- per-worker journal ------------------------------------------------
-    def journal(self) -> SweepJournal:
-        """This worker's completion journal (successes *and* deterministic
-        failures -- a campaign needs both to know a cell is settled)."""
-        if self._journal is None:
-            self._journal = SweepJournal(
-                self.journal_dir / f"{self.worker}.pkl",
-                expect=_RESULT_TYPES)
-        return self._journal
-
-    def journal_counts(self) -> dict[str, int]:
-        """Completion count per worker journal -- the zero-duplicate
-        witness: across all journals, every key appears exactly once."""
-        counts: dict[str, int] = {}
-        try:
-            names = sorted(os.listdir(self.journal_dir))
-        except OSError:
-            return counts
-        for name in names:
-            if not name.endswith(".pkl"):
-                continue
-            journal = SweepJournal(self.journal_dir / name,
-                                   expect=_RESULT_TYPES)
-            counts[name[:-4]] = len(journal.load())
-        return counts
-
-    def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
 
     # -- status ------------------------------------------------------------
     def status(self, *, now: float | None = None) -> dict:
@@ -352,7 +326,6 @@ class CampaignStore:
             "running": claimed,
             "stale_claims": expired,
             "pending": len(keys) - len(done) - claimed,
-            "workers": self.journal_counts(),
             "claims": claims,
             "heartbeats": heartbeats,
         }

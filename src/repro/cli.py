@@ -482,8 +482,6 @@ def _status_campaign_cmd(args) -> str:
              f"running, {status['pending']} pending"
              + (f", {status['stale_claims']} stale claim(s)"
                 if status['stale_claims'] else "")]
-    for worker, n in status["workers"].items():
-        lines.append(f"  {worker}: {n} cell(s) executed")
     for hb in status["heartbeats"]:
         lines.append(f"  heartbeat {hb['worker']}: {hb['state']}, age "
                      f"{hb['age_s']:.0f}s, {hb['done']} done "
@@ -751,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--seed", type=int, default=1)
     pp.add_argument("--no-burst", action="store_true",
                     help="run on per-packet links instead of the burst "
-                         "tier (bit-identical results, ~10x slower)")
+                         "tier (bit-identical results)")
 
     pf = sub.add_parser(
         "profile",
@@ -873,7 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
     crs = casub.add_parser(
         "resume",
         help="continue an interrupted campaign from its directory's "
-             "stored spec (finished cells are never re-executed)")
+             "stored spec (finished cells are never re-executed; a "
+             "directory written by other code is refused)")
     crs.add_argument("dir", help="campaign directory")
     add_campaign_exec_flags(crs)
 

@@ -13,7 +13,7 @@ memory:
   Appends are a single ``O_APPEND`` write of one complete line, so
   concurrent writers (pool workers, parallel benches) interleave at line
   granularity and never interleave *within* a line; the reader skips a
-  torn tail the same way the checkpoint journal does.  Replay is
+  torn tail.  Replay is
   deterministic: reading a ledger back yields exactly the records that
   were appended, in append order.
 * :func:`record_run` -- the armed-only convenience every producer calls:

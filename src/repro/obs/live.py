@@ -33,9 +33,10 @@ heartbeat has not been renewed within the expiry window (default: the
 claim lease, :data:`DEFAULT_EXPIRY_S`) is reported ``stale`` -- the same
 condition under which its claimed cell becomes stealable.
 
-Module-level imports are stdlib-only on purpose: the campaign store
-imports this module for status reporting, so everything campaign-shaped
-is imported lazily inside the functions that need it.
+Module-level imports are stdlib-only on purpose (``repro.atomicio`` is
+a stdlib-only leaf): the campaign store imports this module for status
+reporting, so everything campaign-shaped is imported lazily inside the
+functions that need it.
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ import json
 import os
 import pathlib
 import socket
-import tempfile
 import time
 from collections import deque
 from typing import Any, Iterable, Mapping
+
+from ..atomicio import atomic_write_bytes
 
 __all__ = [
     "HeartbeatWriter", "heartbeat_enabled", "read_heartbeats",
@@ -76,18 +78,7 @@ def heartbeat_enabled() -> bool:
 
 
 def _atomic_write_json(path: pathlib.Path, payload: Mapping[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write_bytes(path, json.dumps(payload, sort_keys=True).encode())
 
 
 class HeartbeatWriter:

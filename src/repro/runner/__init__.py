@@ -28,16 +28,19 @@ Environment knobs:
     Force the sweep progress line (stderr) on or off; default is on only
     when stderr is a terminal.  See :mod:`.progress`.
 
-Resilient execution (PR 4) rides on :func:`run_batch`'s keywords:
+Resilient execution rides on :func:`run_batch`'s keywords:
 ``on_error="capture"`` isolates per-scenario crashes as
-:class:`FailedResult` rows, ``timeout=S`` kills hung scenarios,
-``retries=N`` re-runs transient losses with exponential backoff, and
-``checkpoint=PATH`` journals completions for byte-identical resume after
-a kill.  See :mod:`.failures`, :mod:`.supervisor`, :mod:`.checkpoint`.
+:class:`FailedResult` rows, ``timeout=S`` kills hung scenarios and
+``retries=N`` re-runs transient losses with exponential backoff.  See
+:mod:`.failures` and :mod:`.supervisor`.
+
+The salted cache is the only cross-run memo here.  A batch that must
+resume after a kill -- or refuse to resume under edited code -- runs
+through the campaign store instead (:func:`repro.campaign.run_rows` with
+``dir=``, or ``--campaign-dir`` on the CLI).
 """
 
 from .cache import ResultsCache, cache_enabled, default_cache, memo
-from .checkpoint import SweepJournal
 from .failures import BatchExecutionError, FailedResult
 from .hashing import code_salt, config_fingerprint, config_key
 from .pool import run_batch, run_one
@@ -47,5 +50,5 @@ __all__ = [
     "ResultsCache", "cache_enabled", "default_cache", "memo",
     "code_salt", "config_fingerprint", "config_key",
     "run_batch", "run_one", "SweepProgress",
-    "FailedResult", "BatchExecutionError", "SweepJournal",
+    "FailedResult", "BatchExecutionError",
 ]

@@ -12,10 +12,10 @@ import hashlib
 import os
 import pathlib
 import pickle
-import tempfile
 import warnings
 from typing import Any, Callable
 
+from ..atomicio import atomic_write_bytes
 from .hashing import code_salt
 
 __all__ = ["ResultsCache", "cache_enabled", "default_cache", "memo",
@@ -89,26 +89,11 @@ class ResultsCache:
         """
         if self._write_disabled:
             return
-        path = self.path_for(key)
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            atomic_write_bytes(self.path_for(key), payload)
         except OSError as exc:
             self._disable_writes(exc)
-            return
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            if isinstance(exc, OSError):
-                self._disable_writes(exc)
-                return
-            raise
 
     def _disable_writes(self, exc: OSError) -> None:
         self._write_disabled = True

@@ -18,19 +18,32 @@ so the trace file, like the results, is identical for any worker count.
 Cache *hits* are recorded in the trace header as ``"cached": true`` with no
 event stream (the cache stores metrics, not events).
 
-Resilient execution
--------------------
-The legacy contract -- any scenario exception propagates out of
-``run_batch`` unchanged -- is the default.  Asking for any resilience
-feature (``on_error="capture"``, a ``timeout``, ``retries`` or a
-``checkpoint``) switches the misses onto the supervised one-shot-process
-path (:mod:`.supervisor`): crashes become :class:`FailedResult` rows,
-hangs are killed at the wall-clock budget, transient losses retry with
-exponential backoff, SIGINT drains with partial results, and completed
-scenarios are journaled to the checkpoint for byte-identical resume.
-With ``on_error="raise"`` (still the default) a surviving failure is
-re-raised as :class:`BatchExecutionError` carrying the worker traceback;
-``"capture"`` returns the failures in-place so sweeps can triage.
+Execution paths
+---------------
+Misses run on one of three paths, and each fresh success is cached and
+ledgered the moment it lands, so an interrupted batch loses at most the
+scenarios still in flight:
+
+* **pool** -- ``jobs > 1`` with no resilience keyword: a
+  ``ProcessPoolExecutor`` map; any scenario exception propagates out of
+  ``run_batch`` unchanged.
+* **supervised** -- a ``timeout``, or ``jobs > 1`` with ``on_error=
+  "capture"`` or ``retries``: one-shot worker processes
+  (:mod:`.supervisor`) that kill hangs at the wall-clock budget, retry
+  transient losses with exponential backoff and drain on SIGINT with
+  partial results.
+* **in-process** -- everything else: a plain loop in this process.
+
+Without a resilience keyword (``on_error="raise"``, no ``timeout``, no
+``retries``) a scenario's own exception propagates unchanged.  With one,
+crashes become :class:`FailedResult` rows; ``on_error="raise"`` then
+re-raises the first as :class:`BatchExecutionError` carrying the worker
+traceback, while ``"capture"`` returns the failures in place so sweeps
+can triage.
+
+Resuming an interrupted batch is the results cache's job (a rerun serves
+every finished scenario from it) or, across code edits and hosts, the
+campaign store's (:func:`repro.campaign.run_rows` with ``dir=``).
 """
 
 from __future__ import annotations
@@ -39,13 +52,12 @@ import hashlib
 import pickle
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..experiments.common import ScenarioConfig, ScenarioResult, run_scenario
 from ..obs.ledger import record_run
 from ..obs.sinks import RingBufferSink, write_trace
 from .cache import ResultsCache, cache_enabled, default_cache
-from .checkpoint import SweepJournal
 from .failures import BatchExecutionError, FailedResult
 from .hashing import config_fingerprint, config_key
 from .progress import SweepProgress
@@ -126,38 +138,27 @@ def _validate_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _capture_inprocess(cfg: ScenarioConfig, worker: Callable
-                       ) -> ScenarioResult | FailedResult:
-    """Serial crash isolation: same classification as the supervisor, no
-    process boundary (used when neither timeouts nor parallelism are
-    requested)."""
-    try:
-        return worker(cfg)
-    except Exception as exc:
-        return FailedResult(kind=classify_exception(exc),
-                            error_type=type(exc).__name__, message=str(exc),
-                            traceback=traceback.format_exc(), attempts=1,
-                            scenario=describe_config(cfg),
-                            flight=getattr(exc, "flight_dump", None))
+def _failure(cfg: ScenarioConfig, exc: Exception) -> FailedResult:
+    """An in-process crash as a typed row: same classification as the
+    supervisor, no process boundary."""
+    return FailedResult(kind=classify_exception(exc),
+                        error_type=type(exc).__name__, message=str(exc),
+                        traceback=traceback.format_exc(), attempts=1,
+                        scenario=describe_config(cfg),
+                        flight=getattr(exc, "flight_dump", None))
 
 
-def _pool_heartbeat(checkpoint: str | None, total: int):
+def _pool_heartbeat(total: int):
     """A liveness file for this batch's coordinating process, or None.
 
-    Armed by ``REPRO_HEARTBEAT_DIR`` (explicit directory) or implicitly by
-    a checkpointed batch (``<checkpoint>.heartbeats`` next to the
-    journal); ``REPRO_HEARTBEAT=0`` kills it either way.  Plain batches
-    with neither stay exactly as before -- two env lookups.
+    Armed by ``REPRO_HEARTBEAT_DIR``; ``REPRO_HEARTBEAT=0`` kills it.
+    Plain batches stay exactly as before -- two env lookups.
     """
     import os
 
     from ..obs.live import HeartbeatWriter, heartbeat_enabled
-    if not heartbeat_enabled():
-        return None
     directory = os.environ.get("REPRO_HEARTBEAT_DIR")
-    if not directory and checkpoint is not None:
-        directory = os.fspath(checkpoint) + ".heartbeats"
-    if not directory:
+    if not directory or not heartbeat_enabled():
         return None
     return HeartbeatWriter(directory, f"pool-{os.getpid()}", total=total)
 
@@ -166,7 +167,7 @@ def run_one(cfg: ScenarioConfig, *,
             cache: ResultsCache | bool | None = None,
             trace: str | None = None, **kw) -> ScenarioResult:
     """Cached single-scenario run (always detached).  Resilience keywords
-    (``on_error``/``timeout``/``retries``/``checkpoint``) pass through to
+    (``on_error``/``timeout``/``retries``) pass through to
     :func:`run_batch`."""
     return run_batch([cfg], cache=cache, trace=trace, **kw)[0]
 
@@ -179,8 +180,7 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
               on_error: str = "raise",
               timeout: float | None = None,
               retries: int = 0,
-              retry_backoff_s: float = 0.05,
-              checkpoint: str | None = None):
+              retry_backoff_s: float = 0.05):
     """Execute a batch of independent scenarios, in parallel when asked.
 
     ``configs`` is either a mapping (returns ``{key: result}``, insertion
@@ -195,18 +195,14 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
     Resilience (see module docstring):
 
     on_error : ``"raise"`` (default) propagates the first failure --
-        unchanged from the worker for the legacy path,
-        :class:`BatchExecutionError` for the supervised path.
+        unchanged from the worker without ``timeout``/``retries``,
+        :class:`BatchExecutionError` with them.
         ``"capture"`` returns :class:`FailedResult` rows in-place.
     timeout : per-scenario wall-clock budget in seconds; expiry kills the
         worker and classifies the run ``"timeout"``.
     retries : extra attempts for *transient* failures (timeout /
         worker-lost) with ``retry_backoff_s * 2**attempt`` backoff.
         Deterministic Python exceptions never retry.
-    checkpoint : path of an append-only journal of completed scenarios;
-        re-running the same batch with the same path resumes, re-executing
-        only what is missing.  Composes with the results cache (both are
-        keyed by the code-salted config key).
     """
     jobs = _validate_jobs(jobs)
     if on_error not in ("raise", "capture"):
@@ -222,33 +218,30 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
     cfgs = list(configs.values()) if keyed else list(configs)
     store = _resolve_cache(cache)
     worker = _run_traced if trace is not None else _run_detached
-    resilient = (on_error == "capture" or timeout is not None
-                 or retries > 0 or checkpoint is not None)
-
-    journal = SweepJournal(checkpoint) if checkpoint is not None else None
-    journal_done = journal.load() if journal is not None else {}
+    resilient = on_error == "capture" or timeout is not None or retries > 0
 
     results: list[Any] = [None] * len(cfgs)
     misses: list[int] = []
     keys: list[str | None] = []
-    need_keys = store is not None or journal is not None
     for i, cfg in enumerate(cfgs):
-        key = config_key(cfg) if need_keys else None
+        key = config_key(cfg) if store is not None else None
         keys.append(key)
-        hit = None
-        if key is not None:
-            if store is not None:
-                hit = store.get(key, expect=ScenarioResult)
-            if hit is None:
-                hit = journal_done.get(key)
+        hit = (store.get(key, expect=ScenarioResult)
+               if key is not None else None)
         if hit is not None:
             results[i] = hit
         else:
             misses.append(i)
 
-    def _persist(i: int, res: Any) -> None:
-        """Cache + journal + ledger one fresh success (event streams stay
-        out of all three: they are per-run evidence, not results)."""
+    progress = SweepProgress(len(cfgs), cached=len(cfgs) - len(misses),
+                             heartbeat=_pool_heartbeat(len(cfgs)))
+
+    def _land(i: int, res: Any) -> None:
+        """Record one fresh outcome: cache + ledger a success (event
+        streams stay out of both: they are per-run evidence, not
+        results), then tick the progress line."""
+        results[i] = res
+        progress.update(failed=isinstance(res, FailedResult))
         if not isinstance(res, ScenarioResult):
             return
         fp = config_fingerprint(cfgs[i])
@@ -262,70 +255,40 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
         events = res.trace
         res.trace = None
         try:
-            if store is not None:
-                try:
-                    store.put(keys[i], res)
-                except (pickle.PicklingError, TypeError, AttributeError):
-                    pass  # unpicklable payloads just skip persistence
-            if journal is not None:
-                try:
-                    journal.append(keys[i], res)
-                except (pickle.PicklingError, TypeError, AttributeError,
-                        OSError):
-                    pass
+            store.put(keys[i], res)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            pass  # unpicklable payloads just skip persistence
         finally:
             res.trace = events
 
     interrupted = False
-    progress = SweepProgress(len(cfgs), cached=len(cfgs) - len(misses),
-                             heartbeat=_pool_heartbeat(checkpoint,
-                                                       len(cfgs)))
     try:
-        if misses and not resilient:
-            # Legacy fast path: byte-for-byte the pre-resilience behaviour
-            # (exceptions propagate unchanged; pool map for parallelism).
-            todo = [cfgs[i] for i in misses]
-            if jobs > 1 and len(todo) > 1:
-                with ProcessPoolExecutor(
-                        max_workers=min(jobs, len(todo))) as ex:
-                    fresh = []
-                    for res in ex.map(worker, todo):
-                        fresh.append(res)
-                        progress.update()
-            else:
-                fresh = []
-                for cfg in todo:
-                    fresh.append(worker(cfg))
-                    progress.update()
-            for i, res in zip(misses, fresh):
-                results[i] = res
-                _persist(i, res)
-        elif misses:
-            if jobs == 1 and timeout is None:
-                # In-process capture: no workers to lose or kill, so
-                # retries have nothing transient to act on.
-                for i in misses:
-                    res = _capture_inprocess(cfgs[i], worker)
-                    results[i] = res
-                    _persist(i, res)
-                    progress.update(failed=isinstance(res, FailedResult))
-            else:
-                def _on_result(i: int, res: Any) -> None:
-                    _persist(i, res)
-                    progress.update(failed=isinstance(res, FailedResult))
-
-                got, interrupted = run_supervised(
-                    [(i, cfgs[i]) for i in misses], worker, jobs=jobs,
-                    timeout=timeout, retries=retries,
-                    retry_backoff_s=retry_backoff_s, on_result=_on_result)
-                for i in misses:
-                    results[i] = got.get(i)
+        if len(misses) > 1 and jobs > 1 and not resilient:
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, len(misses))) as ex:
+                for i, res in zip(misses, ex.map(
+                        worker, [cfgs[i] for i in misses])):
+                    _land(i, res)
+        elif misses and (timeout is not None or (jobs > 1 and resilient)):
+            interrupted = run_supervised(
+                [(i, cfgs[i]) for i in misses], worker, jobs=jobs,
+                timeout=timeout, retries=retries,
+                retry_backoff_s=retry_backoff_s, on_result=_land)
+        else:
+            # In-process: no workers to lose or kill, so retries have
+            # nothing transient to act on.
+            for i in misses:
+                try:
+                    res = worker(cfgs[i])
+                except Exception as exc:
+                    if not resilient:
+                        raise
+                    res = _failure(cfgs[i], exc)
+                _land(i, res)
     finally:
         progress.finish()
-        if journal is not None:
-            journal.close()
 
-    # Supervisor gaps (only possible on interrupt) become typed rows too.
+    # Any gap left by an interrupt becomes a typed row too.
     for i in misses:
         if results[i] is None:
             results[i] = FailedResult(kind="interrupted",

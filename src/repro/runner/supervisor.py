@@ -115,18 +115,17 @@ class _Job:
 def run_supervised(tasks, worker: Callable, *, jobs: int = 1,
                    timeout: float | None = None, retries: int = 0,
                    retry_backoff_s: float = 0.05,
-                   on_result: Callable[[int, Any], None] | None = None,
-                   ) -> tuple[dict[int, Any], bool]:
+                   on_result: Callable[[int, Any], None],
+                   ) -> bool:
     """Run ``tasks`` (an iterable of ``(index, cfg)``) through supervised
     one-shot worker processes.
 
-    Returns ``(results, interrupted)`` where ``results`` maps each index
-    to a scenario result or :class:`FailedResult` and ``interrupted``
-    flags a SIGINT drain.  ``on_result`` observes each final (non-retried)
-    outcome as it lands -- the checkpoint journal hook.
+    ``on_result(index, outcome)`` receives each task's final (non-retried)
+    outcome -- a scenario result or :class:`FailedResult` -- as it lands;
+    every task gets exactly one call, interrupted ones included.  Returns
+    True when a SIGINT drained the run.
     """
     ctx = mp.get_context()
-    results: dict[int, Any] = {}
     slots = max(int(jobs or 1), 1)
 
     # Ready heap: (ready_at, tiebreak, job).  Backoffs are future
@@ -141,9 +140,7 @@ def run_supervised(tasks, worker: Callable, *, jobs: int = 1,
     running: dict[Any, tuple[Any, _Job, float | None, float]] = {}
 
     def _finish(job: _Job, value: Any) -> None:
-        results[job.index] = value
-        if on_result is not None:
-            on_result(job.index, value)
+        on_result(job.index, value)
 
     def _fail_or_retry(job: _Job, kind: str, message: str,
                        elapsed: float, flight=None) -> None:
@@ -257,5 +254,5 @@ def run_supervised(tasks, worker: Callable, *, jobs: int = 1,
             _, _, job = heapq.heappop(ready)
             _finish(job, FailedResult(kind="interrupted", attempts=job.attempts,
                                       scenario=describe_config(job.cfg)))
-        return results, True
-    return results, False
+        return True
+    return False

@@ -10,6 +10,7 @@ even the 200+ cell acceptance campaign stays cheap.
 import json
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
@@ -36,6 +37,12 @@ def _tiny_campaign(**kw) -> Campaign:
                 axes={"transport": ["tcp", "iq"]}, seeds=2)
     spec.update(kw)
     return Campaign(spec.pop("template"), **spec)
+
+
+def _done_counts(root) -> list[int]:
+    """Cells executed per worker, from the workers' heartbeat files --
+    the zero-duplicate witness: summed, every cell ran exactly once."""
+    return [hb["done"] for hb in CampaignStore(root).status()["heartbeats"]]
 
 
 # ----------------------------------------------------------------------
@@ -216,20 +223,20 @@ def test_two_workers_split_campaign_no_duplicate_executions(tmp_path):
     camp = _tiny_campaign(seeds=3)
     run = run_campaign(camp, dir=tmp_path / "camp", workers=2, cache=False)
     assert run.complete
-    counts = CampaignStore(tmp_path / "camp").journal_counts()
-    # The per-worker journals are the execution witness: summed, every
-    # cell ran exactly once across the fleet.  (How the cells split
-    # between the two workers is timing-dependent and not asserted.)
-    assert sum(counts.values()) == len(camp)
+    # How the cells split between the two workers is timing-dependent and
+    # not asserted; the sum is.
+    assert sum(_done_counts(tmp_path / "camp")) == len(camp)
+    assert not (tmp_path / "camp" / "journal").exists()
+    assert len(list((tmp_path / "camp" / "cells").iterdir())) == len(camp)
 
 
 def test_rerun_serves_from_store_without_reexecuting(tmp_path):
     camp = _tiny_campaign()
     r1 = run_campaign(camp, dir=tmp_path / "camp", workers=1, cache=False)
-    counts1 = CampaignStore(tmp_path / "camp").journal_counts()
+    assert sum(_done_counts(tmp_path / "camp")) == len(camp)
+    shutil.rmtree(tmp_path / "camp" / "heartbeats")
     r2 = run_campaign(camp, dir=tmp_path / "camp", workers=1, cache=False)
-    counts2 = CampaignStore(tmp_path / "camp").journal_counts()
-    assert sum(counts1.values()) == sum(counts2.values()) == len(camp)
+    assert _done_counts(tmp_path / "camp") == [0]  # nothing re-executed
     assert r1.report().to_json() == r2.report().to_json()
 
 
@@ -238,6 +245,23 @@ def test_campaign_dir_rejects_different_campaign(tmp_path):
     with pytest.raises(ValueError, match="different cell set"):
         run_campaign(_tiny_campaign(seeds=3), dir=tmp_path / "camp",
                      cache=False)
+
+
+def test_campaign_dir_rejects_other_code_version(tmp_path, monkeypatch):
+    from repro.campaign import store as store_mod
+    from repro.cli import main
+    run_campaign(_tiny_campaign(), dir=tmp_path / "camp", cache=False)
+    manifest = json.loads((tmp_path / "camp" / "manifest.json").read_text())
+    assert manifest["version"] == 2
+    assert manifest["code_salt"] == store_mod.code_salt()
+    monkeypatch.setattr(store_mod, "code_salt", lambda: "f" * 64)
+    with pytest.raises(ValueError, match=r"code version .*ffffffffffff.*"
+                                         r"fresh directory") as ei:
+        run_campaign(_tiny_campaign(), dir=tmp_path / "camp", cache=False)
+    assert manifest["code_salt"][:12] in str(ei.value)
+    # Read-only views of the directory keep working under the new code.
+    assert CampaignStore(tmp_path / "camp").status()["done"] == 4
+    assert main(["campaign", "status", str(tmp_path / "camp")]) == 0
 
 
 def test_failures_captured_and_aggregated(tmp_path):
@@ -379,12 +403,11 @@ def test_run_rows_with_dir_keys_results_like_legacy(tmp_path):
             ("iq", 2): ScenarioConfig(**TINY).replace(transport="iq")}
     got = run_rows(rows, name="t", dir=tmp_path / "camp", cache=False)
     assert list(got) == ["tcp", ("iq", 2)]
-    counts = CampaignStore(tmp_path / "camp").journal_counts()
-    assert sum(counts.values()) == 2
+    assert sum(_done_counts(tmp_path / "camp")) == 2
+    shutil.rmtree(tmp_path / "camp" / "heartbeats")
     # Second pass re-executes nothing and returns identical summaries.
     again = run_rows(rows, name="t", dir=tmp_path / "camp", cache=False)
-    counts2 = CampaignStore(tmp_path / "camp").journal_counts()
-    assert sum(counts2.values()) == 2
+    assert _done_counts(tmp_path / "camp") == [0]
     assert again["tcp"].summary == got["tcp"].summary
 
 
@@ -487,8 +510,7 @@ def test_acceptance_200_cell_campaign_two_workers(tmp_path):
     cache = ResultsCache(tmp_path / "cache")
     run = run_campaign(camp, dir=tmp_path / "camp", workers=2, cache=cache)
     assert run.complete
-    counts = CampaignStore(tmp_path / "camp").journal_counts()
-    assert sum(counts.values()) == 216  # no cell executed twice
+    assert sum(_done_counts(tmp_path / "camp")) == 216  # none ran twice
     # Immediate re-run in a fresh directory: served from the results cache
     # (single in-process worker so the hit counter is observable here).
     cache2 = ResultsCache(tmp_path / "cache")

@@ -1,13 +1,11 @@
-"""Unit tests for drop-tail and RED queues."""
-
-import random
+"""Unit tests for the drop-tail queue."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.packet import Packet
-from repro.sim.queues import DropTailQueue, REDQueue
+from repro.sim.queues import DropTailQueue
 
 
 def mkpkt(size=1400, flow=1):
@@ -109,22 +107,3 @@ def test_pop_returns_in_push_order(sizes, data):
         q.push(p)
     out = [q.pop() for _ in range(len(pkts))]
     assert out == pkts
-
-
-class TestRed:
-    def test_no_drops_when_idle(self):
-        q = REDQueue(100 * 1440, rng=random.Random(1))
-        assert all(q.push(mkpkt()) for _ in range(10))
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            REDQueue(1000, min_th=0.9, max_th=0.5)
-
-    def test_drops_probabilistically_before_full(self):
-        q = REDQueue(40 * 1440, max_p=0.5, weight=0.5,
-                     rng=random.Random(7))
-        accepted = sum(q.push(mkpkt()) for _ in range(30))
-        # The queue never reached its hard byte budget, yet RED dropped.
-        assert q.bytes < q.capacity_bytes
-        assert q.stats.drops > 0
-        assert accepted > 0

@@ -1,11 +1,11 @@
-"""Tests for resilient sweep execution (ISSUE 4 tentpole part 1).
+"""Tests for resilient sweep execution.
 
 The contract: one insane scenario in a batch becomes one typed
 ``FailedResult`` row -- never a dead batch, never a poisoned cache entry,
 never a silently-averaged number.  Hung workers are killed at the
-per-scenario timeout, transient failures (timeout / worker-lost) retry
-with backoff while deterministic crashes do not, and a checkpoint journal
-makes an interrupted sweep resumable with byte-identical results.
+per-scenario timeout, and transient failures (timeout / worker-lost)
+retry with backoff while deterministic crashes do not.  Resuming an
+interrupted batch is the campaign store's job (``tests/test_campaign.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.middleware.adaptation import MarkingAdaptation
 from repro.runner import (BatchExecutionError, FailedResult, ResultsCache,
-                          SweepJournal, config_key, run_batch)
+                          config_key, run_batch)
 from repro.runner.failures import TRANSIENT_KINDS
 
 
@@ -31,7 +31,7 @@ def _small(**kw) -> ScenarioConfig:
 
 
 # Module-level adaptation factories: dotted-name fingerprints keep the
-# configs cacheable/journalable, and fork-started workers see them as-is.
+# configs cacheable, and fork-started workers see them as-is.
 def boom_adaptation():
     raise RuntimeError("deliberate scenario crash (test fixture)")
 
@@ -50,12 +50,6 @@ def die_once_adaptation():
     if not os.path.exists(sentinel):
         open(sentinel, "w").close()
         os._exit(3)
-    return MarkingAdaptation()
-
-
-def counting_adaptation():
-    with open(os.environ["REPRO_TEST_RUN_COUNTER"], "a") as fh:
-        fh.write("x\n")
     return MarkingAdaptation()
 
 
@@ -173,67 +167,6 @@ def test_crashed_scenario_never_leaves_a_cache_entry(tmp_path):
     assert isinstance(bad, FailedResult)
     assert store.get(key) is None
     assert not list(tmp_path.glob("*.pkl"))
-
-
-# ----------------------------------------------------------------------
-# Checkpoint / resume
-# ----------------------------------------------------------------------
-def test_checkpoint_resume_skips_completed_rows(tmp_path, monkeypatch):
-    counter = tmp_path / "runs"
-    monkeypatch.setenv("REPRO_TEST_RUN_COUNTER", str(counter))
-    ckpt = tmp_path / "sweep.ckpt"
-    cfgs = {"a": _small(seed=1, adaptation=counting_adaptation),
-            "b": _small(seed=2, adaptation=counting_adaptation)}
-
-    first = run_batch(cfgs, jobs=1, cache=False, checkpoint=ckpt)
-    assert counter.read_text().count("x") == 2
-    size_after_first = ckpt.stat().st_size
-    assert size_after_first > 0
-
-    again = run_batch(cfgs, jobs=1, cache=False, checkpoint=ckpt)
-    assert counter.read_text().count("x") == 2  # nothing recomputed
-    assert ckpt.stat().st_size == size_after_first  # nothing re-journaled
-    for label in cfgs:
-        assert again[label].summary == first[label].summary
-        assert pickle.dumps(again[label].summary) == \
-            pickle.dumps(first[label].summary)
-
-
-def test_checkpoint_extends_to_superset_batch(tmp_path, monkeypatch):
-    counter = tmp_path / "runs"
-    monkeypatch.setenv("REPRO_TEST_RUN_COUNTER", str(counter))
-    ckpt = tmp_path / "sweep.ckpt"
-    a, b = (_small(seed=1, adaptation=counting_adaptation),
-            _small(seed=2, adaptation=counting_adaptation))
-    run_batch([a], jobs=1, cache=False, checkpoint=ckpt)
-    out = run_batch([a, b], jobs=1, cache=False, checkpoint=ckpt)
-    assert counter.read_text().count("x") == 2  # only b computed fresh
-    assert all(isinstance(r, ScenarioResult) for r in out)
-
-
-def test_journal_truncates_torn_tail(tmp_path):
-    ckpt = tmp_path / "sweep.ckpt"
-    cfg = _small(seed=5)
-    run_batch([cfg], jobs=1, cache=False, checkpoint=ckpt)
-    good_size = ckpt.stat().st_size
-    with open(ckpt, "ab") as fh:
-        fh.write(b"\x80\x05torn-frame-garbage")
-    loaded = SweepJournal(ckpt).load()
-    assert len(loaded) == 1
-    assert ckpt.stat().st_size == good_size  # tail truncated on load
-    key = config_key(cfg)
-    assert isinstance(loaded[key], ScenarioResult)
-
-
-def test_failed_rows_are_not_journaled(tmp_path):
-    ckpt = tmp_path / "sweep.ckpt"
-    cfgs = [_small(seed=1), _small(seed=2, adaptation=boom_adaptation)]
-    out = run_batch(cfgs, jobs=1, cache=False, on_error="capture",
-                    checkpoint=ckpt)
-    assert isinstance(out[1], FailedResult)
-    loaded = SweepJournal(ckpt).load()
-    assert len(loaded) == 1  # only the good row resumes
-    assert all(isinstance(v, ScenarioResult) for v in loaded.values())
 
 
 # ----------------------------------------------------------------------
