@@ -8,7 +8,7 @@ the ``jitter is None`` check, and every retransmission-timer arm passes the
 falsy ``rto_jitter`` / ``stall_threshold`` guards that transport hardening
 hangs off.
 
-As with ``bench_trace_overhead`` the overhead is measured compositionally
+As with ``bench_obs_overhead`` the overhead is measured compositionally
 -- per-guard cost x a generous guards-per-packet count, against the
 measured per-packet cost of a full RUDP transfer -- because the guards are
 interleaved with real work and cannot be toggled at runtime.  The committed

@@ -16,8 +16,6 @@ import pytest
 
 from repro.experiments.common import ScenarioConfig
 from repro.middleware.receiver import DeliveryLog
-from repro.obs.bus import NULL_BUS, TraceBus
-from repro.obs.sinks import JsonlTraceSink, RingBufferSink
 from repro.runner import run_batch
 from repro.sim.engine import Simulator
 from repro.sim.topology import Dumbbell
@@ -222,104 +220,6 @@ def bench_parallel_batch_throughput(benchmark, perf_record):
                 cpu_count=os.cpu_count())
     benchmark.pedantic(lambda: run_batch(cfgs, jobs=jobs, cache=False),
                        rounds=1, iterations=1)
-
-
-#: Trace hook points a data packet crosses on the instrumented fast path
-#: (transmit, ack, queue-peak checks on both dumbbell hops, plus its share
-#: of retransmit/period/callback guards).  Deliberately generous: the
-#: disabled-overhead estimate below multiplies by it.
-HOOKS_PER_PACKET = 8
-
-
-def bench_trace_overhead(benchmark, perf_record, tmp_path):
-    """Cost of the observability layer, three ways.
-
-    * ``emit_ring_events_per_s`` / ``emit_jsonl_events_per_s`` -- enabled
-      ``TraceBus.emit`` throughput into the in-memory ring buffer vs the
-      streaming JSONL writer.
-    * ``disabled_overhead_pct`` -- estimated whole-run overhead of the
-      *disabled* path, i.e. what every untraced experiment pays for the
-      ``if tr.enabled`` guards.  Measured compositionally (per-guard cost x
-      generous hooks-per-packet, against the measured per-packet cost of a
-      full RUDP transfer) because the guards cannot be compiled out at
-      runtime; the committed baseline gates it at <= 3%.
-    """
-    # -- per-guard cost: guarded loop minus the identical plain loop -------
-    n = 200_000
-    bus = NULL_BUS
-
-    def guarded_loop():
-        tr = bus
-        acc = 0
-        for _ in range(n):
-            if tr.enabled:
-                acc += 1
-        return acc
-
-    def plain_loop():
-        acc = 0
-        for _ in range(n):
-            acc += 1
-        return acc
-
-    def best_s(fn, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    guard_ns = max(best_s(guarded_loop) - best_s(plain_loop), 0.0) / n * 1e9
-
-    # -- per-packet cost of the instrumented full stack (untraced) ---------
-    n_pkts = 5000
-
-    def transfer():
-        sim = Simulator()
-        net = Dumbbell(sim)
-        snd, rcv = net.add_flow_hosts("t")
-        log = DeliveryLog()
-        conn = RudpConnection(sim, snd, rcv, on_deliver=log.on_deliver)
-        for i in range(n_pkts):
-            conn.submit(1400, frame_id=i)
-        conn.finish()
-        sim.run(until=120.0)
-        assert conn.completed
-
-    packet_ns = best_s(transfer) / n_pkts * 1e9
-    disabled_overhead_pct = 100.0 * guard_ns * HOOKS_PER_PACKET / packet_ns
-
-    # -- enabled emit throughput, per sink ---------------------------------
-    n_emit = 50_000
-
-    def emit_ring():
-        sim = Simulator()
-        tr = TraceBus(sim, sinks=[RingBufferSink(capacity=1024)])
-        emit = tr.emit
-        for i in range(n_emit):
-            emit("transport", "PACKET_SEND", flow=1, pkt=i, size=1400)
-        return tr.events_emitted
-
-    def emit_jsonl():
-        sim = Simulator()
-        with JsonlTraceSink(tmp_path / "bench_trace.jsonl") as sink:
-            tr = TraceBus(sim, sinks=[sink])
-            emit = tr.emit
-            for i in range(n_emit):
-                emit("transport", "PACKET_SEND", flow=1, pkt=i, size=1400)
-        return tr.events_emitted
-
-    perf_record("trace_overhead",
-                guard_ns=round(guard_ns, 3),
-                packet_ns=round(packet_ns, 1),
-                disabled_overhead_pct=round(disabled_overhead_pct, 4),
-                emit_ring_events_per_s=_best_rate(emit_ring, n_emit),
-                emit_jsonl_events_per_s=_best_rate(emit_jsonl, n_emit))
-    assert disabled_overhead_pct < 3.0, (
-        f"disabled-tracing guard overhead {disabled_overhead_pct:.2f}% "
-        "exceeds the 3% budget")
-    assert benchmark(emit_ring) == n_emit
 
 
 @pytest.mark.perf_regression

@@ -186,7 +186,11 @@ def worker_loop(store: CampaignStore,
     return executed
 
 
-def _raise_interrupt(signum, frame):
+def _interrupt_once(signum, frame):
+    """End the worker on the first SIGINT/SIGTERM and ignore every later
+    one, so the unwinding it starts cannot itself be interrupted."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
     raise KeyboardInterrupt
 
 
@@ -195,12 +199,13 @@ def _worker_main(root: str, worker: str, lease_s: float,
                  cache_token, timeout: float | None, retries: int) -> None:
     """Child-process entry point for ``workers=N`` fan-out."""
     os.environ["REPRO_PROGRESS"] = "0"  # parent owns the progress line
-    # The parent's SIGINT handler terminate()s us with SIGTERM; default
-    # SIGTERM disposition would kill the process without unwinding, leaking
-    # the in-flight claim as a live lease that blocks the next resume.
-    # Translating it into KeyboardInterrupt runs worker_loop's finally
-    # (claim released, final heartbeat written) before exiting.
-    signal.signal(signal.SIGTERM, _raise_interrupt)
+    # ^C / ``timeout --signal=INT`` reach the whole process group, then
+    # the parent terminate()s us: a worker sees SIGINT and SIGTERM.  The
+    # first unwinds worker_loop (claim released, "exited" heartbeat
+    # written); a second landing in its finally would skip that, so the
+    # rest are ignored.
+    signal.signal(signal.SIGINT, _interrupt_once)
+    signal.signal(signal.SIGTERM, _interrupt_once)
     store = CampaignStore(root, worker=worker, lease_s=lease_s)
     try:
         worker_loop(store, cells, cache=_resolve_cache_token(cache_token),

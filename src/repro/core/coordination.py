@@ -46,7 +46,6 @@ drifted while the adaptation was pending.
 
 from __future__ import annotations
 
-from ..obs.events import ATTR_RECEIVED, COORD_ACTION
 from .attributes import (ADAPT_COND, ADAPT_FEC, ADAPT_FREQ, ADAPT_MARK,
                          ADAPT_PKTSIZE, ADAPT_WHEN, AttributeSet)
 
@@ -146,60 +145,37 @@ class IQCoordinator(Coordinator):
         snd = self.sender
         if snd is None:
             return
-        self._fec_stall_boost(snd, now)
+        self._fec_stall_boost(snd)
         if not self.enable_discard:
             return
         self.stalls += 1
         if self._discard_before_stall is None:
             self._discard_before_stall = snd.discard_unmarked
         snd.discard_unmarked = True
-        sp = getattr(snd, "spans", None)
-        if sp is not None:
-            sp.on_action(None, "stall_degrade",
-                         restored_policy=self._discard_before_stall)
-        fl = getattr(snd, "flight", None)
-        if fl is not None:
-            fl.note("coord", "ACTION", flow=snd.flow_id,
-                    action="stall_degrade",
-                    restored_policy=self._discard_before_stall)
-        tm = getattr(snd, "telemetry", None)
-        if tm is not None:
-            tm.annotate(now, "stall_degrade",
-                        restored_policy=self._discard_before_stall)
-        tr = getattr(snd, "trace", None)
-        if tr is not None and tr.enabled:
-            tr.emit("coord", COORD_ACTION, flow=snd.flow_id,
-                    action="stall_degrade",
-                    restored_policy=self._discard_before_stall)
+        self._transport_action(snd, "stall_degrade",
+                               restored_policy=self._discard_before_stall)
 
     def on_resume(self, now: float) -> None:
         snd = self.sender
         if snd is None:
             return
-        self._fec_stall_relax(snd, now)
+        self._fec_stall_relax(snd)
         if self._discard_before_stall is None:
             return
         self.stall_recoveries += 1
         snd.discard_unmarked = self._discard_before_stall
         self._discard_before_stall = None
-        sp = getattr(snd, "spans", None)
-        if sp is not None:
-            sp.on_action(None, "stall_recover",
-                         discard_unmarked=snd.discard_unmarked)
-        fl = getattr(snd, "flight", None)
-        if fl is not None:
-            fl.note("coord", "ACTION", flow=snd.flow_id,
-                    action="stall_recover",
-                    discard_unmarked=snd.discard_unmarked)
-        tm = getattr(snd, "telemetry", None)
-        if tm is not None:
-            tm.annotate(now, "stall_recover",
-                        discard_unmarked=snd.discard_unmarked)
-        tr = getattr(snd, "trace", None)
-        if tr is not None and tr.enabled:
-            tr.emit("coord", COORD_ACTION, flow=snd.flow_id,
-                    action="stall_recover",
-                    discard_unmarked=snd.discard_unmarked)
+        self._transport_action(snd, "stall_recover",
+                               discard_unmarked=snd.discard_unmarked)
+
+    @staticmethod
+    def _transport_action(snd, action: str, **fields) -> None:
+        """Record an action no attribute exchange caused (stall handling,
+        the FEC controller): it carries no ``attr_seq``/episode."""
+        ev = snd.events
+        if ev.transport_action:
+            ev.emit("transport_action", flow=snd.flow_id, action=action,
+                    **fields)
 
     # ------------------------------------------------------------------
     # FEC redundancy coordination.  The coding rate is a quality attribute
@@ -209,25 +185,7 @@ class IQCoordinator(Coordinator):
     # back to the configured base once the loss estimator clears.  All of
     # it is inert unless the connection armed a FEC tier.
     # ------------------------------------------------------------------
-    def _fec_emit(self, snd, now: float, action: str, **fields) -> None:
-        """The four-surface emission pattern for transport-initiated FEC
-        actions (no ``attr_seq``: no attribute exchange caused them)."""
-        sp = getattr(snd, "spans", None)
-        if sp is not None:
-            sp.on_action(None, action, **fields)
-        fl = getattr(snd, "flight", None)
-        if fl is not None:
-            fl.note("coord", "ACTION", flow=snd.flow_id, action=action,
-                    **fields)
-        tm = getattr(snd, "telemetry", None)
-        if tm is not None:
-            tm.annotate(now, action, **fields)
-        tr = getattr(snd, "trace", None)
-        if tr is not None and tr.enabled:
-            tr.emit("coord", COORD_ACTION, flow=snd.flow_id, action=action,
-                    **fields)
-
-    def _fec_stall_boost(self, snd, now: float) -> None:
+    def _fec_stall_boost(self, snd) -> None:
         fx = getattr(snd, "fec_tx", None)
         if fx is None or not fx.state.cfg.adaptive:
             return
@@ -238,10 +196,10 @@ class IQCoordinator(Coordinator):
         r_after = state.set_redundancy(state.cfg.r_max)
         if r_after != r_before:
             self.fec_boosts += 1
-            self._fec_emit(snd, now, "fec_boost", r_before=r_before,
-                           r_after=r_after)
+            self._transport_action(snd, "fec_boost", r_before=r_before,
+                                   r_after=r_after)
 
-    def _fec_stall_relax(self, snd, now: float) -> None:
+    def _fec_stall_relax(self, snd) -> None:
         if self._fec_r_before_stall is None:
             return
         fx = getattr(snd, "fec_tx", None)
@@ -259,8 +217,8 @@ class IQCoordinator(Coordinator):
         # drain would steal bandwidth exactly when it is scarcest.
         r_after = state.set_redundancy(restore)
         if r_after != r_before:
-            self._fec_emit(snd, now, "fec_relax", r_before=r_before,
-                           r_after=r_after)
+            self._transport_action(snd, "fec_relax", r_before=r_before,
+                                   r_after=r_after)
 
     def on_period(self, pm) -> None:
         snd = self.sender
@@ -314,10 +272,10 @@ class IQCoordinator(Coordinator):
             r_after = r_before
         if r_after != r_before:
             self.fec_adaptations += 1
-            self._fec_emit(snd, snd.sim.now, "fec_redundancy",
-                           r_before=r_before, r_after=r_after,
-                           error_ratio=eratio, recovered=recovered_delta,
-                           congested=congested)
+            self._transport_action(snd, "fec_redundancy", r_before=r_before,
+                                   r_after=r_after, error_ratio=eratio,
+                                   recovered=recovered_delta,
+                                   congested=congested)
 
     # ------------------------------------------------------------------
     def _apply(self, attrs: AttributeSet) -> None:
@@ -325,37 +283,20 @@ class IQCoordinator(Coordinator):
         if snd is None:
             raise RuntimeError("coordinator not bound to a sender")
 
-        # Trace the exchange; every action below back-references attr_seq so
-        # the report's audit can pair attribute -> transport action.
-        tr = getattr(snd, "trace", None)
-        traced = tr is not None and tr.enabled
-        attr_seq = -1
-        if traced:
-            attr_seq = tr.emit("coord", ATTR_RECEIVED, flow=snd.flow_id,
-                               attrs=attrs.as_dict())
-
-        # Lineage/forensics: open a coordination episode for the exchange;
-        # every action below pairs with it (the span analogue of attr_seq).
-        sp = getattr(snd, "spans", None)
-        episode = sp.on_attrs(attrs.as_dict()) if sp is not None else None
-        fl = getattr(snd, "flight", None)
-        if fl is not None:
-            fl.note("coord", "ATTR", flow=snd.flow_id,
-                    attrs=attrs.as_dict())
+        # Record the exchange; every action below pairs with it (the
+        # trace's attr_seq, the spans' episode) so the audit can pair
+        # attribute -> transport action.
+        ev = snd.events
+        if ev.attrs:
+            ev.emit("attrs", flow=snd.flow_id, attrs=attrs.as_dict())
 
         when = attrs.get(ADAPT_WHEN)
         if when == "pending":
             # The application will adapt later (limited granularity).  The
             # transport keeps adapting on its own; nothing to change now.
             self.pending_adaptations += 1
-            if sp is not None:
-                sp.on_action(episode, "pending")
-            if fl is not None:
-                fl.note("coord", "ACTION", flow=snd.flow_id,
-                        action="pending")
-            if traced:
-                tr.emit("coord", COORD_ACTION, flow=snd.flow_id,
-                        attr_seq=attr_seq, action="pending")
+            if ev.action:
+                ev.emit("action", flow=snd.flow_id, action="pending")
             return
 
         if ADAPT_MARK in attrs and self.enable_discard:
@@ -365,31 +306,16 @@ class IQCoordinator(Coordinator):
             if changed:
                 self.discard_switches += 1
             snd.discard_unmarked = want
-            if sp is not None:
-                sp.on_action(episode, "discard", enabled=want,
-                             changed=changed, unmark_p=p)
-            if fl is not None:
-                fl.note("coord", "ACTION", flow=snd.flow_id,
-                        action="discard", enabled=want, changed=changed,
-                        unmark_p=p)
-            if traced:
-                tr.emit("coord", COORD_ACTION, flow=snd.flow_id,
-                        attr_seq=attr_seq, action="discard",
+            if ev.action:
+                ev.emit("action", flow=snd.flow_id, action="discard",
                         enabled=want, changed=changed, unmark_p=p)
 
         if ADAPT_FREQ in attrs:
             # Deliberately no window change (see module docstring).
             self.freq_adaptations += 1
-            if sp is not None:
-                sp.on_action(episode, "freq_no_window_change",
-                             freq_chg=float(attrs[ADAPT_FREQ]))
-            if fl is not None:
-                fl.note("coord", "ACTION", flow=snd.flow_id,
+            if ev.action:
+                ev.emit("action", flow=snd.flow_id,
                         action="freq_no_window_change",
-                        freq_chg=float(attrs[ADAPT_FREQ]))
-            if traced:
-                tr.emit("coord", COORD_ACTION, flow=snd.flow_id,
-                        attr_seq=attr_seq, action="freq_no_window_change",
                         freq_chg=float(attrs[ADAPT_FREQ]))
 
         if ADAPT_FEC in attrs:
@@ -403,33 +329,16 @@ class IQCoordinator(Coordinator):
                 if changed:
                     self.fec_adaptations += 1
                     self._fec_clean_periods = 0
-                if sp is not None:
-                    sp.on_action(episode, "fec_redundancy",
-                                 requested=requested, r_before=r_before,
-                                 r_after=r_after, changed=changed)
-                if fl is not None:
-                    fl.note("coord", "ACTION", flow=snd.flow_id,
+                if ev.action:
+                    ev.emit("action", flow=snd.flow_id,
                             action="fec_redundancy", requested=requested,
                             r_before=r_before, r_after=r_after,
                             changed=changed)
-                if traced:
-                    tr.emit("coord", COORD_ACTION, flow=snd.flow_id,
-                            attr_seq=attr_seq, action="fec_redundancy",
-                            requested=requested, r_before=r_before,
-                            r_after=r_after, changed=changed)
-            else:
+            elif ev.action:
                 # The application asked for coding on a connection with no
                 # FEC tier: record the mismatch, change nothing.
-                if sp is not None:
-                    sp.on_action(episode, "fec_unavailable",
-                                 requested=requested)
-                if fl is not None:
-                    fl.note("coord", "ACTION", flow=snd.flow_id,
-                            action="fec_unavailable", requested=requested)
-                if traced:
-                    tr.emit("coord", COORD_ACTION, flow=snd.flow_id,
-                            attr_seq=attr_seq, action="fec_unavailable",
-                            requested=requested)
+                ev.emit("action", flow=snd.flow_id, action="fec_unavailable",
+                        requested=requested)
 
         if ADAPT_PKTSIZE in attrs and self.enable_reinflate:
             rate_chg = float(attrs[ADAPT_PKTSIZE])
@@ -450,44 +359,16 @@ class IQCoordinator(Coordinator):
                 cwnd_before = snd.cc.cwnd
                 snd.cc.scale_window(factor)
                 self.window_rescales += 1
-                if sp is not None:
-                    sp.on_action(episode, "window_rescale",
-                                 rate_chg=rate_chg, base_factor=base_factor,
-                                 drift=drift, factor=factor,
-                                 cwnd_before=cwnd_before,
-                                 cwnd_after=snd.cc.cwnd)
-                if fl is not None:
-                    fl.note("coord", "ACTION", flow=snd.flow_id,
-                            action="window_rescale", factor=factor,
-                            cwnd_before=cwnd_before, cwnd_after=snd.cc.cwnd)
-                tm = getattr(snd, "telemetry", None)
-                if tm is not None:
-                    # Pin the re-inflation onto the sampled cwnd series so
-                    # the trajectory shows *why* the window jumped.
-                    tm.annotate(snd.sim.now, "window_rescale",
-                                rate_chg=rate_chg, base_factor=base_factor,
-                                drift=drift, factor=factor,
-                                cwnd_before=cwnd_before,
-                                cwnd_after=snd.cc.cwnd)
-                if traced:
-                    tr.emit("coord", COORD_ACTION, flow=snd.flow_id,
-                            attr_seq=attr_seq, action="window_rescale",
-                            rate_chg=rate_chg, base_factor=base_factor,
-                            drift=drift, factor=factor,
-                            cwnd_before=cwnd_before, cwnd_after=snd.cc.cwnd)
-            else:
-                if sp is not None:
-                    sp.on_action(episode, "rescale_skipped_large_frame",
-                                 rate_chg=rate_chg,
-                                 last_frame_size=snd.last_frame_size,
-                                 mss=snd.mss)
-                if fl is not None:
-                    fl.note("coord", "ACTION", flow=snd.flow_id,
-                            action="rescale_skipped_large_frame",
-                            rate_chg=rate_chg)
-                if traced:
-                    tr.emit("coord", COORD_ACTION, flow=snd.flow_id,
-                            attr_seq=attr_seq,
-                            action="rescale_skipped_large_frame",
-                            rate_chg=rate_chg,
-                            last_frame_size=snd.last_frame_size, mss=snd.mss)
+                # Telemetry pins the re-inflation onto the sampled cwnd
+                # series so the trajectory shows *why* the window jumped.
+                if ev.rescale:
+                    ev.emit("rescale", flow=snd.flow_id,
+                            action="window_rescale", rate_chg=rate_chg,
+                            base_factor=base_factor, drift=drift,
+                            factor=factor, cwnd_before=cwnd_before,
+                            cwnd_after=snd.cc.cwnd)
+            elif ev.rescale_skipped:
+                ev.emit("rescale_skipped", flow=snd.flow_id,
+                        action="rescale_skipped_large_frame",
+                        rate_chg=rate_chg,
+                        last_frame_size=snd.last_frame_size, mss=snd.mss)

@@ -17,8 +17,6 @@ exactly the loss the end system can see.
 
 from __future__ import annotations
 
-from ..obs.bus import NULL_BUS
-from ..obs.events import PERIOD_ROLL
 from .attributes import (NET_CWND, NET_ERROR_RATIO, NET_RATE, NET_RTT,
                          AttributeService)
 
@@ -83,9 +81,6 @@ class MetricsWindow:
         #: collapse the window off a dead link, so blackout periods never
         #: update this.
         self.last_clean_error_ratio = 0.0
-        # The owning sender rebinds these when its simulator is traced.
-        self.trace = NULL_BUS
-        self.flow = -1
         if service is not None:
             for name in (NET_ERROR_RATIO, NET_RATE, NET_RTT, NET_CWND):
                 service.register(name, 0.0)
@@ -119,12 +114,6 @@ class MetricsWindow:
             self.service.update(NET_RATE, pm.rate_bps)
             self.service.update(NET_RTT, pm.rtt)
             self.service.update(NET_CWND, pm.cwnd)
-        tr = self.trace
-        if tr.enabled:
-            extra = {"blackout": True} if blackout else {}
-            tr.emit("transport", PERIOD_ROLL, flow=self.flow, sent=pm.sent,
-                    lost=pm.lost, error_ratio=pm.error_ratio,
-                    rate_bps=pm.rate_bps, rtt=pm.rtt, cwnd=pm.cwnd, **extra)
         return pm
 
     @property

@@ -21,7 +21,7 @@ from ..analysis.stats import flow_summary
 from ..faults import FaultInjector, FaultSchedule
 from ..invariants import CheckedSimulator, InvariantChecker
 from ..middleware.adaptation import AdaptationStrategy, NullAdaptation
-from ..obs.bus import TraceBus
+from ..obs.bus import EventStream, TraceBus
 from ..obs.flight import flight_from_env
 from ..obs.metrics import MetricsRegistry, collect_scenario_metrics
 from ..obs.spans import SpanRecorder
@@ -307,9 +307,8 @@ def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
     """Build and execute one scenario; see module docstring.
 
     ``trace_sink`` (any object with ``append(TraceEvent)``) turns on event
-    tracing for this run: an enabled :class:`~repro.obs.TraceBus` is bound
-    to the simulator *before* topology/transport construction so every
-    component caches the live bus.  Tracing is deliberately not part of
+    tracing for this run: a :class:`~repro.obs.TraceBus` subscribes to the
+    scenario's event stream.  Tracing is deliberately not part of
     ``ScenarioConfig`` -- it never changes results, so it must not change
     cache keys.
 
@@ -320,23 +319,27 @@ def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
     (both claim the engine run loop by subclassing).
 
     Every run additionally carries an always-on flight recorder
-    (:mod:`repro.obs.flight`, disable with ``REPRO_FLIGHT=0``): created
-    *before* any scenario construction so even a setup crash leaves a
-    dump, which is attached to the raised exception as ``flight_dump``
-    (the runner moves it onto :class:`~repro.runner.FailedResult`) and to
-    ``ScenarioResult.flight`` on success.
+    (:mod:`repro.obs.flight`, disable with ``REPRO_FLIGHT=0``): subscribed
+    to the run's event stream *before* any scenario construction so even a
+    setup crash leaves a dump, which is attached to the raised exception
+    as ``flight_dump`` (the runner moves it onto
+    :class:`~repro.runner.FailedResult`) and to ``ScenarioResult.flight``
+    on success.
     """
+    events = EventStream()
     flight = flight_from_env()
     if flight is not None:
-        flight.note("run", "START",
-                    scenario=f"{cfg.transport}/{cfg.workload}"
-                             f"/seed={cfg.seed}")
+        events.subscribe(flight)
+    if events.run_start:
+        events.emit("run_start", scenario=f"{cfg.transport}/{cfg.workload}"
+                                          f"/seed={cfg.seed}")
     try:
-        return _run_scenario(cfg, flight, trace_sink=trace_sink,
+        return _run_scenario(cfg, events, flight, trace_sink=trace_sink,
                              profile=profile)
     except BaseException as exc:
+        if events.run_error:
+            events.emit("run_error", error=type(exc).__name__)
         if flight is not None:
-            flight.note("run", "EXCEPTION", error=type(exc).__name__)
             try:
                 exc.flight_dump = flight.dump()
             except Exception:
@@ -344,8 +347,8 @@ def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
         raise
 
 
-def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
-                  profile=None) -> ScenarioResult:
+def _run_scenario(cfg: ScenarioConfig, events: EventStream, flight, *,
+                  trace_sink=None, profile=None) -> ScenarioResult:
     # Invariant checking (repro.invariants): the checked engine plus a
     # periodic read-only checker.  Armed and disarmed runs produce
     # bit-identical summaries -- checks observe, never steer -- so the
@@ -363,25 +366,21 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
         _t_phase = perf_counter()
     else:
         sim = CheckedSimulator() if armed else Simulator()
+    # Every recorder subscribes to one stream, attached before topology
+    # construction: components cache ``sim.events`` when they are built.
+    events.attach(sim)
     if trace_sink is not None:
-        sim.bus = TraceBus(sim, sinks=[trace_sink])
+        events.subscribe(TraceBus(sim, sinks=[trace_sink]))
     # Burst speed tier: the Dumbbell reads this flag and builds BatchLink
     # everywhere.  REPRO_BURST is a process-wide opt-in (like
     # REPRO_INVARIANTS); safe outside the config key because burst runs
     # are bit-identical to per-packet runs.
     if cfg.burst or bool(os.environ.get("REPRO_BURST")):
         sim.burst = True
-    # Forensics: the flight recorder and (when armed) the span recorder
-    # must hang off the simulator *before* topology construction -- links
-    # cache ``sim.flight``/``sim.spans`` at build time.
-    if flight is not None:
-        flight.bind(sim)
-        sim.flight = flight
     spans = None
     if cfg.spans:
-        spans = SpanRecorder(
-            sim, scenario=f"{cfg.transport}/{cfg.workload}/seed={cfg.seed}")
-        sim.spans = spans
+        spans = events.subscribe(SpanRecorder(
+            scenario=f"{cfg.transport}/{cfg.workload}/seed={cfg.seed}"))
     streams = RandomStreams(cfg.seed)
     net = Dumbbell(sim, bottleneck_bps=cfg.bottleneck_bps, rtt_s=cfg.rtt_s,
                    mss=cfg.mss, queue_pkts=cfg.queue_pkts)

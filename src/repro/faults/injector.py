@@ -16,7 +16,6 @@ transport.
 
 from __future__ import annotations
 
-from ..obs.events import FAULT_PHASE
 from ..sim.link import DelayJitter, GilbertElliottLoss, Link
 from .schedule import (BandwidthRamp, Blackout, BurstyLoss, DelayRamp,
                        FaultSchedule, Jitter, LinkFlap)
@@ -43,7 +42,6 @@ class FaultInjector:
         self.net = net
         self.schedule = schedule
         self.rng = rng
-        self.trace = sim.bus
         #: Counters for tests and reports.
         self.phases_begun = 0
         self.phases_ended = 0
@@ -60,15 +58,10 @@ class FaultInjector:
     def _mark(self, idx: int, phase, state: str, **extra) -> None:
         counter = "phases_begun" if state == "begin" else "phases_ended"
         setattr(self, counter, getattr(self, counter) + 1)
-        fl = getattr(self.sim, "flight", None)
-        if fl is not None:
-            fl.note("net", "FAULT_PHASE", phase=idx,
-                    kind=type(phase).__name__, state=state)
-        tr = self.trace
-        if tr.enabled:
-            tr.emit("net", FAULT_PHASE, phase=idx,
-                    kind=type(phase).__name__, state=state,
-                    start=phase.start, stop=phase.stop,
+        ev = self.sim.events
+        if ev.fault_phase:
+            ev.emit("fault_phase", phase=idx, kind=type(phase).__name__,
+                    state=state, start=phase.start, stop=phase.stop,
                     direction=phase.direction, **extra)
 
     # ------------------------------------------------------------------

@@ -108,9 +108,9 @@ class InvariantChecker:
     # The sweep
     # ------------------------------------------------------------------
     def _fail(self, name: str, message: str, **counters) -> None:
-        fl = getattr(self.sim, "flight", None)
-        if fl is not None:
-            fl.note("run", "VIOLATION", name=name, message=message,
+        ev = self.sim.events
+        if ev.violation:
+            ev.emit("violation", name=name, message=message,
                     checks_run=self.checks_run, **counters)
         raise InvariantViolation(name, message, sim_time=self.sim.now,
                                  scenario=self.scenario, counters=counters)

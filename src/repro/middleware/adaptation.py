@@ -33,8 +33,7 @@ import random
 
 from ..core.attributes import (ADAPT_COND, ADAPT_FEC, ADAPT_FREQ, ADAPT_MARK,
                                ADAPT_PKTSIZE, ADAPT_WHEN, AttributeSet)
-from ..obs.bus import NULL_BUS
-from ..obs.events import ADAPT_ACTION
+from ..obs.bus import NULL_STREAM
 
 __all__ = ["AdaptationStrategy", "NullAdaptation", "MarkingAdaptation",
            "ResolutionAdaptation", "DelayedResolutionAdaptation",
@@ -65,7 +64,7 @@ class AdaptationStrategy:
         self.freq_scale = 1.0
         self.upper_events = 0
         self.lower_events = 0
-        self.trace = NULL_BUS
+        self.events = NULL_STREAM
         self._flow = -1
 
     def bind(self, conn, rng: random.Random) -> None:
@@ -73,36 +72,36 @@ class AdaptationStrategy:
         connection).  TCP connections have no callback registry; binding a
         strategy to one is an error the experiments guard against."""
         self._rng = rng
-        self._bind_trace(conn)
+        self._bind_events(conn)
         conn.register_callbacks(upper=self.upper, lower=self.lower,
                                 on_upper=self._on_upper,
                                 on_lower=self._on_lower)
 
-    def _bind_trace(self, conn) -> None:
+    def _bind_events(self, conn) -> None:
         sender = getattr(conn, "sender", None)
         if sender is not None:
-            self.trace = sender.sim.bus
+            self.events = sender.events
             self._flow = sender.flow_id
 
     # -- hooks ------------------------------------------------------------
-    def _trace_action(self, trigger: str, eratio: float,
+    def _adapt_action(self, trigger: str, eratio: float,
                       attrs: AttributeSet | None) -> None:
-        tr = self.trace
-        if tr.enabled and attrs is not None:
-            tr.emit("app", ADAPT_ACTION, flow=self._flow, trigger=trigger,
+        ev = self.events
+        if ev.adapt and attrs is not None:
+            ev.emit("adapt", flow=self._flow, trigger=trigger,
                     error_ratio=eratio, scale=self.scale,
                     freq_scale=self.freq_scale, attrs=attrs.as_dict())
 
     def _on_upper(self, eratio: float, metrics: dict) -> AttributeSet | None:
         self.upper_events += 1
         out = self.on_upper(eratio, metrics)
-        self._trace_action("upper", eratio, out)
+        self._adapt_action("upper", eratio, out)
         return out
 
     def _on_lower(self, eratio: float, metrics: dict) -> AttributeSet | None:
         self.lower_events += 1
         out = self.on_lower(eratio, metrics)
-        self._trace_action("lower", eratio, out)
+        self._adapt_action("lower", eratio, out)
         return out
 
     def on_upper(self, eratio: float, metrics: dict) -> AttributeSet | None:
@@ -126,7 +125,7 @@ class NullAdaptation(AdaptationStrategy):
 
     def bind(self, conn, rng: random.Random) -> None:
         self._rng = rng  # registers nothing
-        self._bind_trace(conn)
+        self._bind_events(conn)
 
 
 class MarkingAdaptation(AdaptationStrategy):

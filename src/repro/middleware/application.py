@@ -22,7 +22,6 @@ import random
 from typing import Sequence
 
 from ..core.attributes import AttributeSet
-from ..obs.events import ADAPT_ACTION
 from ..sim.engine import Simulator
 from .adaptation import AdaptationStrategy, NullAdaptation
 
@@ -80,7 +79,7 @@ class AdaptiveSource:
         self.mss = mss
         self.frame_deadline_s = frame_deadline_s
         self.rng = rng or random.Random(0)
-        self.trace = sim.bus
+        self.events = sim.events
         self.strategy.bind(conn, self.rng)
 
         self._idx = 0
@@ -116,9 +115,9 @@ class AdaptiveSource:
         attrs = self.strategy.frame_attrs(index)
         if attrs is not None:
             # A deferred adaptation executing at this frame boundary.
-            tr = self.trace
-            if tr.enabled:
-                tr.emit("app", ADAPT_ACTION, trigger="frame_boundary",
+            ev = self.events
+            if ev.adapt:
+                ev.emit("adapt", trigger="frame_boundary",
                         frame=index, applied=True,
                         scale=self.strategy.scale,
                         freq_scale=self.strategy.freq_scale,

@@ -5,12 +5,14 @@ The paper's argument is causal -- "loss spike -> callback fired ->
 summary numbers alone cannot show that sequence for a given run.  This
 package provides the run-level evidence chain:
 
-* :mod:`.events` -- typed, ``__slots__`` trace events and the event-type
+* :mod:`.events` -- typed, ``__slots__`` trace events, the event-type
   vocabulary (packet life cycle, window changes, callback/attribute flow,
-  coordination actions).
-* :mod:`.bus` -- the per-simulation :class:`~repro.obs.bus.TraceBus` and the
-  :data:`~repro.obs.bus.NULL_BUS` null object; with tracing disabled every
-  hook point costs exactly one attribute check.
+  coordination actions) and :data:`~repro.obs.events.ROUTES`, the table of
+  what each recorder records for each emitted kind.
+* :mod:`.bus` -- the per-simulator :class:`~repro.obs.bus.EventStream`:
+  every instrumented fact is emitted once, behind one guard, and the
+  trace (:class:`~repro.obs.bus.TraceBus`), flight ring, spans and
+  telemetry annotations subscribe to it.
 * :mod:`.sinks` -- JSONL writer (gzip capable, deterministic ordering so
   ``jobs=1`` and ``jobs=N`` produce identical files), bounded ring buffer
   for tests, and the batch trace-file writer with cache-aware run headers.
@@ -31,12 +33,12 @@ package provides the run-level evidence chain:
   (``ScenarioConfig(spans=True)``, ``repro lineage``).
 """
 
-from .bus import NULL_BUS, NullBus, TraceBus
+from .bus import NULL_STREAM, EventStream, TraceBus
 from .events import (ADAPT_ACTION, ATTR_RECEIVED, ATTR_SENT, CALLBACK_FIRED,
                      COORD_ACTION, CWND_CHANGE, EVENT_TYPES, FEC_RECOVERED,
                      FEC_REPAIR, FRAME_ABANDONED, PACKET_ACK, PACKET_DROP,
                      PACKET_RETX, PACKET_SEND, PERIOD_ROLL, QUEUE_DEPTH,
-                     TraceEvent)
+                     ROUTES, TraceEvent)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       collect_scenario_metrics)
 from .sinks import JsonlTraceSink, RingBufferSink, read_trace, write_trace
@@ -56,7 +58,7 @@ __all__ = [
     "CWND_CHANGE", "QUEUE_DEPTH", "CALLBACK_FIRED", "ATTR_SENT",
     "ATTR_RECEIVED", "COORD_ACTION", "ADAPT_ACTION", "PERIOD_ROLL",
     "FEC_REPAIR", "FEC_RECOVERED", "FRAME_ABANDONED",
-    "TraceBus", "NullBus", "NULL_BUS",
+    "EventStream", "NULL_STREAM", "TraceBus", "ROUTES",
     "JsonlTraceSink", "RingBufferSink", "write_trace", "read_trace",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "collect_scenario_metrics",

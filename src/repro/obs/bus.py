@@ -1,91 +1,138 @@
-"""The trace bus: where every instrumented component publishes events.
+"""The event stream: every instrumented fact is emitted here, once.
+
+Each simulator owns one :class:`EventStream`.  Instrumented code emits a
+*kind* with the fact's fields, and the subscribers -- the trace
+(:class:`TraceBus`), the flight ring, the span recorder and the telemetry
+payload -- record what :data:`~repro.obs.events.ROUTES` says they record
+for it.
 
 Design constraints, in order:
 
-1. **The disabled path must be nearly free.**  Every hook point in the
-   simulator's hot loops is written as::
+1. **One guard per fact.**  Every call site is written as::
 
-       tr = self.trace
-       if tr.enabled:
-           tr.emit(...)
+       ev = self.events
+       if ev.send:
+           ev.emit("send", pkt, flow=..., ...)
 
-   With tracing off, ``trace`` is the shared :data:`NULL_BUS` whose
-   ``enabled`` is a class attribute ``False`` -- the hook costs one
-   attribute check and a branch, nothing is allocated, and ``emit`` is
-   never called.  The micro-bench ``bench_trace_overhead`` gates this.
+   The stream has one boolean slot per kind, true only while some
+   subscriber records it: an unrecorded kind costs one slot load and a
+   branch, and ``emit`` is never called -- with only the always-on flight
+   ring armed, the per-packet kinds stay silent.  The fast paths that
+   coalesce per-packet facts (``send_burst``, ``push_all``, ``BatchLink``)
+   read the same slots.  ``bench_obs_overhead`` gates the guard cost.
 
-2. **Determinism.**  The bus draws its timestamps from the simulation
-   clock (never the wall clock) and numbers events with a per-bus counter,
-   so a scenario's event stream is a pure function of its config -- the
-   property the jobs=1 == jobs=N trace test pins down.
+2. **Determinism.**  ``emit`` stamps each fact with the simulation clock
+   (0.0 before the stream is attached to a simulator); each subscriber
+   numbers only what it records, so the trace, flight dump and spans are
+   pure functions of the config.  The subscribers keep the ATTR -> ACTION
+   pairing: the trace's last ``attr_seq``, the spans' last episode.
 
-3. **Serialisability.**  Results that hold a bus (via components that
-   cached it) must still pickle for the worker pool and the persistent
-   cache.  A pickled :class:`TraceBus` comes back *inert*: disabled, no
-   sinks, no simulator reference -- the events themselves travel separately
-   as the worker's collected list.
+3. **Serialisability.**  A pickled stream comes back disarmed, with no
+   subscribers and no simulator; trace events, flight dumps and spans
+   travel as plain data on the result.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .events import TraceEvent
+from .events import ROUTES, TraceEvent
 
-__all__ = ["TraceBus", "NullBus", "NULL_BUS"]
+__all__ = ["EventStream", "NULL_STREAM", "TraceBus"]
 
 
-class NullBus:
-    """Null object for the disabled path.
+class EventStream:
+    """Per-simulator fan-out of instrumented facts to their subscribers.
 
-    ``enabled`` is a *class* attribute so the hook-point check compiles to
-    a plain attribute load; ``emit`` exists only for code that wants to
-    emit unconditionally (it does nothing and allocates nothing).
+    A subscriber's ``handler(kind, route)`` returns None or a callable
+    ``h(t, subject, fields)``; ``subject`` is the object the fact is about
+    (a packet), for subscribers that keep object state.
     """
 
-    __slots__ = ()
-    enabled = False
+    __slots__ = tuple(ROUTES) + ("_sim", "_routes", "subscribers")
 
-    def emit(self, layer: str, etype: str, **fields: Any) -> int:
-        return -1
+    def __init__(self, sim=None) -> None:
+        self._sim = sim
+        self._routes: dict[str, list] = {}
+        self.subscribers: list = []
+        for kind in ROUTES:
+            setattr(self, kind, False)
+
+    def attach(self, sim) -> None:
+        """Make this the stream of ``sim`` (its clock stamps every fact)."""
+        self._sim = sim
+        sim.events = self
+
+    def subscribe(self, subscriber):
+        """Arm every kind ``subscriber`` records; returns it."""
+        if self is NULL_STREAM:
+            raise TypeError("NULL_STREAM is shared; subscribe to a "
+                            "simulator's own stream")
+        self.subscribers.append(subscriber)
+        for kind, route in ROUTES.items():
+            h = subscriber.handler(kind, route)
+            if h is not None:
+                self._routes.setdefault(kind, []).append(h)
+                setattr(self, kind, True)
+        return subscriber
+
+    def emit(self, kind: str, subject: Any = None, /, **fields: Any) -> None:
+        """Hand one fact to every subscriber that records ``kind``."""
+        sim = self._sim
+        t = sim._now if sim is not None else 0.0
+        for h in self._routes[kind]:
+            h(t, subject, fields)
 
     def __reduce__(self):
-        return (_null_bus, ())  # preserve the singleton across pickling
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullBus>"
+        return (EventStream, ())  # come back disarmed (module docstring)
 
 
-#: Process-wide null bus; ``Simulator`` attaches it by default.
-NULL_BUS = NullBus()
-
-
-def _null_bus() -> NullBus:
-    return NULL_BUS
+#: Disarmed stream for components built without a simulator (a standalone
+#: queue, an unbound adaptation strategy); it refuses subscribers.
+NULL_STREAM = EventStream()
 
 
 class TraceBus:
-    """Enabled trace bus bound to one simulator.
-
-    ``emit`` stamps the event with the simulation clock and a monotonically
-    increasing sequence number, fans it out to every sink, and returns the
-    sequence number so callers can correlate follow-up events (the
-    ``ATTR_RECEIVED`` -> ``COORD_ACTION`` pairing the audit relies on).
-    """
+    """The trace subscriber: numbers (``seq``, the total order of one
+    simulation's trace) and fans events out to its sinks.  :meth:`emit`
+    records one directly, outside any stream, and returns its ``seq``."""
 
     def __init__(self, sim, sinks=()) -> None:
-        self.enabled = True
         self._sim = sim
         self._seq = 0
+        self._attr_seq = -1
         self.sinks = list(sinks)
 
+    def handler(self, kind: str, route):
+        if route.etype is None:
+            return None
+        record = self._recorder(route.layer, route.etype)
+        if route.pairing == "open":
+            def open_exchange(t: float, subject, fields: dict) -> None:
+                self._attr_seq = record(t, subject, fields)
+            return open_exchange
+        if route.pairing == "paired":
+            def paired(t: float, subject, fields: dict) -> None:
+                rec = {"flow": fields["flow"], "attr_seq": self._attr_seq}
+                rec.update(fields)
+                record(t, subject, rec)
+            return paired
+        return record
+
+    def _recorder(self, layer: str, etype: str):
+        sinks = self.sinks
+
+        def record(t: float, subject, fields: dict) -> int:
+            seq = self._seq
+            self._seq = seq + 1
+            ev = TraceEvent(seq, t, layer, etype, fields)
+            for sink in sinks:
+                sink.append(ev)
+            return seq
+        return record
+
     def emit(self, layer: str, etype: str, **fields: Any) -> int:
-        seq = self._seq
-        self._seq = seq + 1
-        ev = TraceEvent(seq, self._sim._now, layer, etype, fields)
-        for sink in self.sinks:
-            sink.append(ev)
-        return seq
+        return self._recorder(layer, etype)(self._sim._now, None, fields)
 
     @property
     def events_emitted(self) -> int:
@@ -93,7 +140,7 @@ class TraceBus:
 
     # -- pickling: come back inert (see module docstring) -----------------
     def __getstate__(self):
-        return {"enabled": False, "_sim": None, "_seq": self._seq,
+        return {"_sim": None, "_seq": self._seq, "_attr_seq": -1,
                 "sinks": []}
 
     def __setstate__(self, state):

@@ -10,38 +10,35 @@ invariant violations -- that every scenario keeps by default.
 
 Design constraints, in order:
 
-1. **Near-zero disarmed delta, tiny armed delta.**  Hook points follow the
-   telemetry idiom::
+1. **Cold paths only.**  The recorder subscribes to the simulator's
+   :class:`~repro.obs.bus.EventStream`; :data:`~repro.obs.events.ROUTES`
+   names the label and fields it keeps per kind.  It records no per-packet
+   kind, so with only the ring armed those sites never call into the
+   stream; each note is one ``deque.append`` of a small tuple, which keeps
+   the armed cost inside the ``flight_overhead_pct_max`` ceiling.
 
-       fl = self.flight
-       if fl is not None:
-           fl.note(...)
-
-   ``flight`` is ``None`` by default (class attribute), so a disarmed run
-   pays one attribute check.  Armed, each note is a single ``deque.append``
-   of a small tuple, and notes sit only on cold paths (per adaptation, per
-   retransmission, per drop -- never per packet send/ack), which keeps the
-   armed cost inside the ``flight_overhead_pct_max`` ceiling.
-
-2. **Determinism.**  Timestamps come from the simulation clock and event
-   ids from a monotone per-recorder counter that survives ring eviction, so
-   the dump is a pure function of the ``ScenarioConfig`` -- byte-identical
-   across ``--jobs N``, cache hit/miss, and ``burst=True`` -- and a
-   first-divergence id between two runs of the same config is meaningful.
+2. **Determinism.**  Timestamps come from the stream's simulation clock
+   and event ids from a monotone per-recorder counter that survives ring
+   eviction, so the dump is a pure function of the ``ScenarioConfig`` --
+   byte-identical across ``--jobs N``, cache hit/miss, and ``burst=True``
+   -- and a first-divergence id between two runs of the same config is
+   meaningful.
 
 3. **Serialisability.**  :meth:`FlightRecorder.dump` returns plain dicts
    and lists; the dump rides ``ScenarioResult``/``FailedResult`` through
    pickling, the worker pipe and the persistent cache unchanged.
 
 ``REPRO_FLIGHT`` controls the recorder globally: unset or empty keeps the
-default capacity, an integer overrides it, and ``0`` disables recording
-entirely (debugging aid only -- dumps are part of the result artifact).
+default capacity, a positive integer overrides it, ``0`` disables
+recording entirely (debugging aid only -- dumps are part of the result
+artifact), and anything else keeps the default.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
+from functools import partial
 from typing import Any, Mapping
 
 __all__ = [
@@ -58,13 +55,12 @@ class FlightRecorder:
     """Bounded ring of the last N engine/transport events.
 
     The recorder is created before the simulator (so a crash during setup
-    still yields a dump) and bound to it with :meth:`bind`; until then
-    notes carry ``t=0.0``.  It deliberately has no sinks, no filtering and
-    no schema beyond ``(id, t, layer, event, fields)`` -- it is a black
-    box, not a trace.
+    still yields a dump) and subscribed to the scenario's event stream.
+    It deliberately has no sinks, no filtering and no schema beyond
+    ``(id, t, layer, event, fields)`` -- it is a black box, not a trace.
     """
 
-    __slots__ = ("capacity", "_ring", "_next_id", "_sim")
+    __slots__ = ("capacity", "_ring", "_next_id")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
@@ -72,20 +68,25 @@ class FlightRecorder:
         self.capacity = int(capacity)
         self._ring: deque = deque(maxlen=self.capacity)
         self._next_id = 0
-        self._sim = None
 
-    def bind(self, sim) -> None:
-        """Attach the simulation clock (idempotent, cheap)."""
-        self._sim = sim
+    def handler(self, kind: str, route):
+        if route.label is None:
+            return None
+        return partial(self._note, route.layer, route.label, route.keys)
 
-    def note(self, layer: str, etype: str, **fields: Any) -> int:
-        """Append one event; returns its monotone id.  O(1)."""
+    def _note(self, layer: str, label: str, keys, t: float, subject,
+              fields: dict) -> int:
         i = self._next_id
         self._next_id = i + 1
-        sim = self._sim
-        self._ring.append(
-            (i, sim._now if sim is not None else 0.0, layer, etype, fields))
+        if keys is not None:
+            fields = {k: fields[k] for k in keys}
+        self._ring.append((i, t, layer, label, fields))
         return i
+
+    def note(self, layer: str, etype: str, **fields: Any) -> int:
+        """Append one event outside any stream (at ``t=0.0``); returns its
+        monotone id.  O(1)."""
+        return self._note(layer, etype, None, 0.0, None, fields)
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -115,8 +116,9 @@ def flight_from_env() -> FlightRecorder | None:
     """Build the per-run recorder according to ``REPRO_FLIGHT``.
 
     Unset/empty -> default capacity; ``0`` -> disabled (returns None);
-    any other integer -> that capacity.  Invalid values fall back to the
-    default rather than killing the run.
+    any positive integer -> that capacity.  Invalid values (not an
+    integer, or negative) fall back to the default rather than killing
+    the run.
     """
     raw = os.environ.get("REPRO_FLIGHT", "").strip()
     if not raw:
@@ -127,7 +129,7 @@ def flight_from_env() -> FlightRecorder | None:
         return FlightRecorder()
     if cap == 0:
         return None
-    return FlightRecorder(capacity=cap)
+    return FlightRecorder(capacity=cap if cap > 0 else DEFAULT_CAPACITY)
 
 
 def first_divergence(a: Mapping[str, Any] | None,

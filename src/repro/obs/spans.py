@@ -26,24 +26,36 @@ Design constraints mirror the rest of :mod:`repro.obs`:
    draws randomness or touches transport state, so an armed run's summary
    is bit-identical to a disarmed one (``spans`` *is* part of the config
    and cache key, but behaviour does not depend on it).
-2. **Disarmed cost is one attribute check.**  ``spans`` is a ``None`` class
-   attribute on the sender/receiver; hook points read it once.
+2. **A subscriber, not a component attribute.**  The recorder subscribes
+   to the simulator's :class:`~repro.obs.bus.EventStream`; the routing
+   table (:data:`~repro.obs.events.ROUTES`) names the ``on_<hook>`` it
+   runs for each kind.  A disarmed run pays each site's one stream guard.
 3. **Determinism.**  Everything is keyed on simulation-derived values
-   (frame ids, ``(flow_id, seq)``, the sim clock), so :meth:`finalize`'s
-   output is a pure function of the ``ScenarioConfig`` -- byte-identical
-   across ``--jobs N``, cache hit/miss, and ``burst=True`` (all hook sites
-   sit on paths the burst fast path degrades out of or never fuses).
+   (frame ids, ``(flow_id, seq)``, the stream's clock), so
+   :meth:`finalize`'s output is a pure function of the ``ScenarioConfig``
+   -- byte-identical across ``--jobs N``, cache hit/miss, and
+   ``burst=True`` (all hook sites sit on paths the burst fast path
+   degrades out of or never fuses).
 4. **Serialisable.**  :meth:`finalize` returns plain dicts/lists that ride
    ``ScenarioResult.spans`` through pickling and the persistent cache.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from ..sim.packet import HEADER_BYTES, Packet
 
 __all__ = ["SpanRecorder", "FRAME_OUTCOMES"]
+
+#: Span hook -> (left unsent?, segment fate).  Discards (conflict scheme)
+#: and expiries (past the frame deadline) never got a sequence number; a
+#: recovery (FEC rebuild, fired before the rebuilt packet's delivery) or a
+#: skip (adaptive reliability) ends a transmitted segment like delivery.
+_FATES = {"discard": (True, "discarded"), "expire": (True, "expired"),
+          "deliver": (False, "delivered"), "recover": (False, "recovered"),
+          "skip": (False, "skipped")}
 
 #: Closed vocabulary of frame outcomes (see :meth:`SpanRecorder.finalize`).
 FRAME_OUTCOMES = ("delivered", "degraded", "discarded", "abandoned",
@@ -55,20 +67,21 @@ class SpanRecorder:
 
     Wire-up (done by ``run_scenario`` when ``cfg.spans`` is set):
 
-    * construct right after the :class:`~repro.sim.engine.Simulator` and
-      assign ``sim.spans = recorder`` so links bind their drop hooks,
+    * subscribe to the simulator's event stream,
     * :meth:`watch_network` after the topology exists (captures the nominal
       path for the latency decomposition),
-    * :meth:`watch_flow` after the connection exists (installs the
-      sender/receiver hooks),
+    * :meth:`watch_flow` after the connection exists (names the flow the
+      artifact describes),
     * :meth:`finalize` after the run loop.
+
+    A route's ``span`` names a final fate (:data:`_FATES`) or a hook
+    ``on_<span>(t, pkt, fields)``: the stream's clock, the packet the fact
+    is about (if any) and the emitted fields.
     """
 
-    def __init__(self, sim, *, scenario: str = ""):
-        self.sim = sim
+    def __init__(self, *, scenario: str = ""):
         self.scenario = scenario
         self._frames: dict[int, dict[str, Any]] = {}
-        self._order: list[int] = []
         # Untransmitted segments keyed by packet identity; once a segment
         # is first transmitted it moves to the (flow_id, seq) map, which
         # both the retransmission and the receiver-side hooks resolve.
@@ -76,9 +89,20 @@ class SpanRecorder:
         self._by_key: dict[tuple[int, int], dict[str, Any]] = {}
         self.episodes: list[dict[str, Any]] = []
         self.actions: list[dict[str, Any]] = []
+        self._episode: int | None = None
         self._path_hops: list[tuple[float, float]] = []
         self._flow_id: int | None = None
-        self._conn = None
+
+    def handler(self, kind: str, route):
+        if route.span is None:
+            return None
+        if route.span in _FATES:
+            unsent, fate = _FATES[route.span]
+            return partial(self._unsent if unsent else self._sent, fate)
+        hook = getattr(self, "on_" + route.span)
+        if route.span == "action":
+            return partial(hook, route.pairing == "paired")
+        return hook
 
     # ------------------------------------------------------------------
     # Wire-up
@@ -95,26 +119,22 @@ class SpanRecorder:
         ]
 
     def watch_flow(self, conn) -> None:
-        """Install the sender/receiver hook references on ``conn``."""
-        self._conn = conn
+        """Name the connection whose frames the artifact describes."""
         self._flow_id = conn.sender.flow_id
-        conn.sender.spans = self
-        conn.receiver.spans = self
 
     # ------------------------------------------------------------------
     # Sender-side hooks (see repro.transport.base)
     # ------------------------------------------------------------------
-    def on_segment(self, pkt: Packet) -> None:
+    def on_segment(self, t: float, pkt: Packet, f) -> None:
         """A segment of an application frame entered the send queue."""
         fid = pkt.frame_id
         if fid < 0:
             return
         fr = self._frames.get(fid)
         if fr is None:
-            fr = {"frame_id": fid, "t_submit": self.sim._now, "bytes": 0,
+            fr = {"frame_id": fid, "t_submit": t, "bytes": 0,
                   "msgs": 0, "segments": []}
             self._frames[fid] = fr
-            self._order.append(fid)
         seg = {"size": pkt.size, "marked": pkt.marked, "tagged": pkt.tagged,
                "last": pkt.last_of_frame, "seq": None, "fate": "pending",
                "t_done": None, "attempts": [], "drops": []}
@@ -124,26 +144,7 @@ class SpanRecorder:
             fr["msgs"] += 1
         self._by_pkt[id(pkt)] = seg
 
-    def on_discard(self, pkt: Packet) -> None:
-        """Conflict-scheme local discard: the segment never got a sequence
-        number and never touched the network."""
-        seg = self._by_pkt.pop(id(pkt), None)
-        if seg is None:
-            return
-        seg["fate"] = "discarded"
-        seg["t_done"] = self.sim._now
-
-    def on_expire(self, pkt: Packet) -> None:
-        """Deadline-aware scheduling abandoned the segment unsent: its
-        frame's delivery deadline passed while it queued.  Like a local
-        discard, it never got a sequence number."""
-        seg = self._by_pkt.pop(id(pkt), None)
-        if seg is None:
-            return
-        seg["fate"] = "expired"
-        seg["t_done"] = self.sim._now
-
-    def on_transmit(self, pkt: Packet) -> None:
+    def on_transmit(self, t: float, pkt: Packet, f) -> None:
         """First transmission or retransmission of a segment."""
         key = (pkt.flow_id, pkt.seq)
         seg = self._by_key.get(key)
@@ -156,68 +157,56 @@ class SpanRecorder:
             kind = "tx"
         else:
             kind = "retx"
-        seg["attempts"].append(
-            {"t": self.sim._now, "kind": kind, "skip": pkt.skip})
+        seg["attempts"].append({"t": t, "kind": kind, "skip": pkt.skip})
 
     # ------------------------------------------------------------------
-    # Network hooks (links bind these through ``sim.spans``)
+    # Network hooks
     # ------------------------------------------------------------------
-    def on_drop(self, pkt: Packet, link: str, kind: str) -> None:
+    def on_drop(self, t: float, pkt: Packet, f) -> None:
         """A wire copy of a tracked segment was dropped en route."""
         if pkt.frame_id < 0:
             return
         seg = self._by_key.get((pkt.flow_id, pkt.seq))
         if seg is None:
             return
-        seg["drops"].append({"t": self.sim._now, "link": link, "kind": kind})
+        seg["drops"].append({"t": t, "link": f["link"], "kind": f["kind"]})
 
     # ------------------------------------------------------------------
-    # Receiver-side hooks
+    # Final fates
     # ------------------------------------------------------------------
-    def on_deliver(self, pkt: Packet) -> None:
-        seg = self._by_key.get((pkt.flow_id, pkt.seq))
-        if seg is None or seg["fate"] != "pending":
-            return
-        seg["fate"] = "delivered"
-        seg["t_done"] = self.sim._now
+    def _unsent(self, fate: str, t: float, pkt: Packet, f) -> None:
+        """The segment left the send queue without a sequence number."""
+        seg = self._by_pkt.pop(id(pkt), None)
+        if seg is not None:
+            seg["fate"] = fate
+            seg["t_done"] = t
 
-    def on_recover(self, pkt: Packet) -> None:
-        """The FEC decoder rebuilt the segment from a repair -- delivery
-        without a retransmission round trip.  Fired *before* the rebuilt
-        packet is injected through the receive path, so the subsequent
-        ``on_deliver`` sees a non-pending fate and leaves it alone."""
+    def _sent(self, fate: str, t: float, pkt: Packet, f) -> None:
+        """A transmitted segment reached its end (first fate wins)."""
         seg = self._by_key.get((pkt.flow_id, pkt.seq))
-        if seg is None or seg["fate"] != "pending":
-            return
-        seg["fate"] = "recovered"
-        seg["t_done"] = self.sim._now
-
-    def on_skip(self, pkt: Packet) -> None:
-        """A skip (hole-fill) segment consumed the sequence number: the
-        original payload was abandoned by adaptive reliability."""
-        seg = self._by_key.get((pkt.flow_id, pkt.seq))
-        if seg is None or seg["fate"] != "pending":
-            return
-        seg["fate"] = "skipped"
-        seg["t_done"] = self.sim._now
+        if seg is not None and seg["fate"] == "pending":
+            seg["fate"] = fate
+            seg["t_done"] = t
 
     # ------------------------------------------------------------------
     # Coordination hooks (see repro.core.coordination)
     # ------------------------------------------------------------------
-    def on_attrs(self, attrs: dict[str, Any]) -> int:
-        """An attribute set reached the coordinator; opens an episode and
-        returns its id for pairing with the actions it causes."""
-        ep = {"id": len(self.episodes), "t": self.sim._now, "attrs": attrs}
-        self.episodes.append(ep)
-        return ep["id"]
+    def on_attrs(self, t: float, subject, f) -> None:
+        """An attribute set reached the coordinator; opens the episode the
+        actions it causes pair with."""
+        self._episode = len(self.episodes)
+        self.episodes.append({"id": self._episode, "t": t,
+                              "attrs": f["attrs"]})
 
-    def on_action(self, episode: int | None, action: str,
-                  **fields: Any) -> None:
-        """A coordination action fired; ``episode`` pairs it with the
-        attribute exchange that caused it (None for spontaneous actions
-        such as stall degrade/recover)."""
-        rec = {"t": self.sim._now, "action": action, "episode": episode}
-        rec.update(fields)
+    def on_action(self, paired: bool, t: float, subject, f) -> None:
+        """A coordination action fired; a paired action belongs to the
+        latest attribute exchange, a transport-initiated one (stall
+        degrade/recover, the FEC controller) to none."""
+        rec = {"t": t, "action": f["action"],
+               "episode": self._episode if paired else None}
+        for k, v in f.items():
+            if k != "flow" and k != "action":
+                rec[k] = v
         self.actions.append(rec)
 
     # ------------------------------------------------------------------

@@ -18,9 +18,10 @@ Telemetry is a :class:`~repro.experiments.common.ScenarioConfig` field
 armed run is a different (strictly richer) artifact than a disarmed one.
 Sampling is *pull-based* -- a periodic tick reads transport/queue/link
 state through their ``telemetry_probe()`` methods -- so a disarmed run
-executes **zero** telemetry instructions on the packet path; the only
-disarmed-path cost is one ``sender.telemetry is None`` check per
-coordination action (gated by ``bench_telemetry_overhead``).
+executes **zero** telemetry instructions on the packet path.  Only the
+annotations are pushed: the :class:`Telemetry` payload subscribes to the
+simulator's :class:`~repro.obs.bus.EventStream` for the coordination
+actions :data:`~repro.obs.events.ROUTES` marks ``note``.
 
 Determinism
 -----------
@@ -218,6 +219,13 @@ class Telemetry:
                 maxlen=self.config.buckets)
         return s
 
+    def handler(self, kind: str, route):
+        return self._annotate_action if route.note else None
+
+    def _annotate_action(self, t: float, subject, f: dict) -> None:
+        self.annotate(t, f["action"], **{k: v for k, v in f.items()
+                                         if k != "flow" and k != "action"})
+
     def annotate(self, t: float, kind: str, **fields: Any) -> None:
         """Record one coordination-layer annotation (bounded)."""
         if len(self.annotations) >= self.config.annotations_max:
@@ -259,7 +267,7 @@ class TelemetryRecorder:
     def __init__(self, sim, config: TelemetryConfig):
         self.sim = sim
         self.config = config
-        self.data = Telemetry(config)
+        self.data = sim.events.subscribe(Telemetry(config))
         # (prefix, sender, receiver-or-None, mutable delta state)
         self._flows: list[tuple[str, Any, Any, dict[str, float]]] = []
         # (prefix, FecState, mutable delta state); only populated for
@@ -276,14 +284,11 @@ class TelemetryRecorder:
     # ------------------------------------------------------------------
     def watch_flow(self, conn, *, prefix: str = "flow") -> None:
         """Sample a connection's sender (cwnd/flightsize/SRTT/RTO/loss)
-        and, when it has one, its receiver (goodput).  Also hands the
-        sender a reference to the telemetry payload so the coordination
-        engine can annotate window rescales onto the series."""
+        and, when it has one, its receiver (goodput)."""
         sender = getattr(conn, "sender", None)
         if sender is None:
             raise TypeError(f"{type(conn).__name__} has no sender to probe")
         receiver = getattr(conn, "receiver", None)
-        sender.telemetry = self.data
         self._flows.append((prefix, sender, receiver,
                             {"delivered_bytes": 0.0}))
         fec_state = getattr(conn, "fec", None)

@@ -140,7 +140,7 @@ class BatchLink(Link):
             if (not tried_bulk and len(queue) >= _BULK_MIN
                     and self._sink_burst is not None and self.up
                     and type(self.loss) is LossModel and self.jitter is None
-                    and not self.trace.enabled and not self._flight):
+                    and not self.events.queue_depth and not self._flight):
                 tried_bulk = True
                 if self._tx_burst():
                     return
@@ -174,8 +174,8 @@ class BatchLink(Link):
         queue in one step.
 
         Preconditions (checked by the caller): link up, no wire-loss RNG,
-        no jitter, tracing off, no earlier in-flight packets, terminal
-        sink, and the in-service packet's serialization completed at
+        no jitter, queue depth unrecorded, no earlier in-flight packets,
+        terminal sink, and the in-service packet's serialization completed at
         ``sim.now`` with nothing recorded for it yet.  Computes every
         finish/arrival instant with the exact float operations of the
         scalar chain (left-to-right prefix sum, then one ``+ delay_s``),

@@ -40,7 +40,7 @@ from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Any, Callable, Iterator
 
-from ..obs.bus import NULL_BUS
+from ..obs.bus import EventStream
 
 __all__ = ["Event", "Simulator", "SimulationError", "callback_label"]
 
@@ -146,9 +146,8 @@ class Simulator:
         # run() and under max_events, so inlining is only ever legal in
         # plain bounded/drain runs.
         self._inline_until = -inf
-        # Trace bus; components cache this at construction, so replace it
-        # (with an enabled repro.obs TraceBus) before building topology.
-        self.bus = NULL_BUS
+        # Components cache the stream at construction (repro.obs.bus).
+        self.events = EventStream(self)
         self._flow_ids = 0
 
     def next_flow_id(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Callable, Protocol
 
-from ..obs.events import LINK_FAIL, LINK_RECOVER, PACKET_DROP
 from .engine import Simulator
 from .packet import Packet
 from .queues import DropTailQueue
@@ -145,18 +144,9 @@ class Link:
         self.delay_s = delay_s
         self.sink = sink
         self.name = name
-        self.trace = sim.bus
-        # Forensics hooks (repro.obs.flight / repro.obs.spans): cached from
-        # the simulator so every drop site pays one ``is None`` check.  The
-        # queue gets the same references because burst enqueues
-        # (``push_all``) drop inside the queue, not here.
-        self.flight = getattr(sim, "flight", None)
-        self.spans = getattr(sim, "spans", None)
-        self.queue = DropTailQueue(queue_bytes, on_drop=on_drop)
-        self.queue.trace = self.trace
-        self.queue.name = name
-        self.queue.flight = self.flight
-        self.queue.spans = self.spans
+        self.events = sim.events
+        self.queue = DropTailQueue(queue_bytes, on_drop=on_drop, name=name,
+                                   events=sim.events)
         self.loss = loss or LossModel()
         self.jitter: DelayJitter | None = None
         self._busy = False
@@ -176,25 +166,12 @@ class Link:
         or the link is administratively down."""
         if not self.up:
             self.packets_lost_wire += 1
-            fl = self.flight
-            if fl is not None:
-                fl.note("net", "DROP", kind="down", link=self.name,
-                        flow=pkt.flow_id, pkt=pkt.seq)
-            sp = self.spans
-            if sp is not None:
-                sp.on_drop(pkt, self.name, "down")
-            tr = self.trace
-            if tr.enabled:
-                tr.emit("net", PACKET_DROP, link=self.name, kind="down",
+            ev = self.events
+            if ev.drop:
+                ev.emit("drop", pkt, link=self.name, kind="down",
                         flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size)
             return False
         if not self.queue.push(pkt):
-            tr = self.trace
-            if tr.enabled:
-                tr.emit("net", PACKET_DROP, link=self.name, kind="queue",
-                        flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size,
-                        queued_pkts=len(self.queue),
-                        queued_bytes=self.queue.bytes)
             return False
         if not self._busy:
             self._start_transmission()
@@ -205,11 +182,11 @@ class Link:
 
         Exactly equivalent to calling :meth:`send` per packet -- the only
         shortcut is the queue's bulk enqueue, and the transmitter is
-        kicked once instead of per packet.  Down links and traced runs
-        degrade to the per-packet path so drop accounting and trace
-        events stay identical.
+        kicked once instead of per packet.  Down links, and runs where a
+        subscriber records queue depth, degrade to the per-packet path so
+        drop accounting and recorded events stay identical.
         """
-        if not self.up or self.trace.enabled:
+        if not self.up or self.events.queue_depth:
             ok = 0
             send = self.send
             for p in pkts:
@@ -245,16 +222,9 @@ class Link:
             self._deliver(pkt, delay)
         else:
             self.packets_lost_wire += 1
-            fl = self.flight
-            if fl is not None:
-                fl.note("net", "DROP", kind="wire", link=self.name,
-                        flow=pkt.flow_id, pkt=pkt.seq)
-            sp = self.spans
-            if sp is not None:
-                sp.on_drop(pkt, self.name, "wire")
-            tr = self.trace
-            if tr.enabled:
-                tr.emit("net", PACKET_DROP, link=self.name, kind="wire",
+            ev = self.events
+            if ev.drop:
+                ev.emit("drop", pkt, link=self.name, kind="wire",
                         flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size)
 
     def _deliver(self, pkt: Packet, delay: float) -> None:
@@ -280,23 +250,17 @@ class Link:
         self.up = False
         flushed = self.queue.flush()
         self.packets_lost_wire += flushed
-        fl = self.flight
-        if fl is not None:
-            fl.note("net", "LINK_FAIL", link=self.name, flushed=flushed)
-        tr = self.trace
-        if tr.enabled:
-            tr.emit("net", LINK_FAIL, link=self.name, flushed=flushed)
+        ev = self.events
+        if ev.link_fail:
+            ev.emit("link_fail", link=self.name, flushed=flushed)
 
     def recover(self) -> None:
         if self.up:
             return
         self.up = True
-        fl = self.flight
-        if fl is not None:
-            fl.note("net", "LINK_RECOVER", link=self.name)
-        tr = self.trace
-        if tr.enabled:
-            tr.emit("net", LINK_RECOVER, link=self.name)
+        ev = self.events
+        if ev.link_recover:
+            ev.emit("link_recover", link=self.name)
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
         """Change the link rate mid-run (capacity ramp/cliff).  Packets

@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from ..obs.bus import NULL_BUS
-from ..obs.events import QUEUE_DEPTH
+from ..obs.bus import NULL_STREAM
 from .packet import Packet
 
 __all__ = ["DropTailQueue", "QueueStats"]
@@ -53,10 +52,11 @@ class DropTailQueue:
     """
 
     __slots__ = ("capacity_bytes", "on_drop", "_q", "_bytes", "stats",
-                 "trace", "name", "flight", "spans")
+                 "name", "events")
 
     def __init__(self, capacity_bytes: int,
-                 on_drop: Callable[[Packet], None] | None = None):
+                 on_drop: Callable[[Packet], None] | None = None, *,
+                 name: str = "queue", events=NULL_STREAM):
         if capacity_bytes <= 0:
             raise ValueError("queue capacity must be positive")
         self.capacity_bytes = capacity_bytes
@@ -64,16 +64,10 @@ class DropTailQueue:
         self._q: deque[Packet] = deque()
         self._bytes = 0
         self.stats = QueueStats()
-        # Owning Link rebinds these; standalone queues stay untraced.
-        self.trace = NULL_BUS
-        self.name = "queue"
-        # Forensics hooks, rebound by the owning Link.  They live here (not
-        # only on the Link) because burst enqueues drop inside
-        # :meth:`push_all`'s per-packet degradation, which never returns
-        # through Link.send -- noting at the queue keeps the flight/span
-        # record byte-identical between burst and per-packet paths.
-        self.flight = None
-        self.spans = None
+        # Drops are emitted here, not in Link.send: burst enqueues
+        # (push_all) drop inside the queue too.
+        self.name = name
+        self.events = events
 
     def __len__(self) -> int:
         return len(self._q)
@@ -96,13 +90,11 @@ class DropTailQueue:
         if new_bytes > self.capacity_bytes:
             st.drops += 1
             st.bytes_dropped += wire
-            fl = self.flight
-            if fl is not None:
-                fl.note("net", "DROP", kind="queue", link=self.name,
-                        flow=pkt.flow_id, pkt=pkt.seq)
-            sp = self.spans
-            if sp is not None:
-                sp.on_drop(pkt, self.name, "queue")
+            ev = self.events
+            if ev.drop:
+                ev.emit("drop", pkt, link=self.name, kind="queue",
+                        flow=pkt.flow_id, pkt=pkt.seq, size=wire,
+                        queued_pkts=len(self._q), queued_bytes=self._bytes)
             if self.on_drop is not None:
                 self.on_drop(pkt)
             return False
@@ -116,11 +108,10 @@ class DropTailQueue:
             st.peak_packets = len(q)
             # Emitting only on new occupancy peaks keeps the event count
             # O(peak) rather than O(packets).
-            tr = self.trace
-            if tr.enabled:
-                tr.emit("net", QUEUE_DEPTH, queue=self.name,
-                        pkts=len(q), bytes=new_bytes,
-                        capacity=self.capacity_bytes)
+            ev = self.events
+            if ev.queue_depth:
+                ev.emit("queue_depth", queue=self.name, pkts=len(q),
+                        bytes=new_bytes, capacity=self.capacity_bytes)
         return True
 
     def push_all(self, pkts: "list[Packet]") -> int:
@@ -128,16 +119,16 @@ class DropTailQueue:
 
         Accounting is exactly ``len(pkts)`` repeated :meth:`push` calls.
         The one-extend fast path applies when the whole burst fits and no
-        trace sink is attached (per-push occupancy peaks are monotone
-        within a pure extend, so only the final peak is observable);
-        otherwise it degrades to per-packet pushes, keeping drop order,
-        ``on_drop`` callbacks and peak trace events identical.
+        subscriber records queue depth (per-push occupancy peaks are
+        monotone within a pure extend, so only the final peak is
+        observable); otherwise it degrades to per-packet pushes, keeping
+        drop order, ``on_drop`` callbacks and peak events identical.
         """
         total = 0
         for p in pkts:
             total += p.wire_size
         new_bytes = self._bytes + total
-        if new_bytes > self.capacity_bytes or self.trace.enabled:
+        if new_bytes > self.capacity_bytes or self.events.queue_depth:
             ok = 0
             push = self.push
             for p in pkts:

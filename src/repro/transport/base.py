@@ -26,9 +26,6 @@ from typing import Any, Callable
 
 from ..core.attributes import AttributeService, AttributeSet
 from ..core.callbacks import CallbackRegistry
-from ..obs.events import (ATTR_SENT, CALLBACK_FIRED, CWND_CHANGE,
-                          FRAME_ABANDONED, PACKET_ACK, PACKET_RETX,
-                          PACKET_SEND)
 from ..core.coordination import Coordinator, NullCoordinator
 from ..core.metrics_export import MetricsWindow
 from ..sim.engine import Event, Simulator
@@ -101,23 +98,6 @@ class WindowedSender:
         coordinator's ``on_stall``/``on_resume`` hooks fire for graceful
         degradation.  0 (the default) disables stall detection.
     """
-
-    #: Telemetry payload reference (:class:`repro.obs.telemetry.Telemetry`)
-    #: set by an armed :class:`~repro.obs.telemetry.TelemetryRecorder`; a
-    #: class attribute so the disarmed path never allocates or writes
-    #: anything -- consumers pay one ``is None`` check, and only on cold
-    #: paths (coordination actions), never per packet.
-    telemetry = None
-
-    #: Span recorder (:class:`repro.obs.spans.SpanRecorder`) installed by
-    #: ``watch_flow`` when the scenario arms lineage capture; same
-    #: class-attribute idiom as ``telemetry``.
-    spans = None
-
-    #: Flight recorder (:class:`repro.obs.flight.FlightRecorder`) inherited
-    #: from the simulator at construction; notes sit only on cold paths
-    #: (retransmissions, RTOs, stalls, discards, completion).
-    flight = None
 
     #: FEC repair coder (:class:`repro.transport.fec.FecSender`) armed by
     #: the connection when a :class:`~repro.transport.fec.FecConfig` is
@@ -217,22 +197,12 @@ class WindowedSender:
         self._epoch_lost = 0
         self._epoch_max_inflight = 0
 
-        # Tracing: cache the bus; with tracing off every hook below is one
-        # attribute check.  The cwnd observer is wired only when tracing is
-        # on so the congestion laws keep their zero-overhead default.
-        tr = sim.bus
-        self.trace = tr
-        self.flight = getattr(sim, "flight", None)
-        if tr.enabled:
-            self.metrics.trace = tr
-            self.metrics.flow = self.flow_id
-
-            def _cwnd_observed(reason: str, old: float, new: float,
-                               _tr=tr, _flow=self.flow_id) -> None:
-                _tr.emit("transport", CWND_CHANGE, flow=_flow,
-                         reason=reason, old=old, new=new)
-
-            self.cc.observer = _cwnd_observed
+        # Every hook below is one guard on the cached event stream; the
+        # congestion laws get a cwnd observer only if window changes are
+        # recorded when the sender is built.
+        self.events = ev = sim.events
+        if ev.cwnd:
+            self.cc.observer = self._cwnd_changed
 
         host.bind(port, self)
         if self.cc.needs_epochs:
@@ -243,6 +213,10 @@ class WindowedSender:
     @staticmethod
     def _noop() -> None:
         pass
+
+    def _cwnd_changed(self, reason: str, old: float, new: float) -> None:
+        self.events.emit("cwnd", flow=self.flow_id, reason=reason, old=old,
+                         new=new)
 
     # ------------------------------------------------------------------
     # Application interface
@@ -265,16 +239,15 @@ class WindowedSender:
         if self._finished:
             raise RuntimeError("submit after finish()")
         self.last_frame_size = size
+        ev = self.events
         if attrs:
-            tr = self.trace
-            if tr.enabled:
-                tr.emit("transport", ATTR_SENT, flow=self.flow_id,
-                        via="cmwritev_attr", attrs=attrs.as_dict())
+            if ev.attr_sent:
+                ev.emit("attr_sent", flow=self.flow_id, via="cmwritev_attr",
+                        attrs=attrs.as_dict())
             self.coordinator.on_send_attrs(attrs)
         now = self.sim.now
         nseg = (size + self.mss - 1) // self.mss
         remaining = size
-        sp = self.spans
         for i in range(nseg):
             seg = min(self.mss, remaining)
             remaining -= seg
@@ -287,8 +260,8 @@ class WindowedSender:
             if deadline > 0.0:
                 pkt.deadline = deadline
                 self.deadline_armed = True
-            if sp is not None:
-                sp.on_segment(pkt)
+            if ev.segment:
+                ev.emit("segment", pkt)
             self._pending.append(pkt)
             self.backlog_bytes += seg
         self.stats.submitted_msgs += 1
@@ -320,7 +293,7 @@ class WindowedSender:
         dst = self.peer_addr
         sport = self.port
         dport = self.peer_port
-        sp = self.spans
+        ev = self.events
         total_seg = 0
         for n, size in enumerate(sizes):
             if size <= 0:
@@ -337,8 +310,8 @@ class WindowedSender:
                              dport=dport, created_at=now, marked=marked,
                              tagged=tagged, frame_id=frame_id)
                 pkt.last_of_frame = (i == nseg - 1)
-                if sp is not None:
-                    sp.on_segment(pkt)
+                if ev.segment:
+                    ev.emit("segment", pkt)
                 pending.append(pkt)
                 self.backlog_bytes += seg
             st.submitted_msgs += 1
@@ -403,12 +376,9 @@ class WindowedSender:
                 self.backlog_bytes -= pkt.size
                 self.stats.discarded_msgs += 1
                 self.stats.discarded_bytes += pkt.size
-                sp = self.spans
-                if sp is not None:
-                    sp.on_discard(pkt)
-                fl = self.flight
-                if fl is not None:
-                    fl.note("transport", "DISCARD", flow=self.flow_id,
+                ev = self.events
+                if ev.discard:
+                    ev.emit("discard", pkt, flow=self.flow_id,
                             frame=pkt.frame_id, size=pkt.size)
                 continue
             if (pkt.deadline and not pkt.tagged
@@ -422,17 +392,9 @@ class WindowedSender:
                 self.backlog_bytes -= pkt.size
                 self.stats.expired_msgs += 1
                 self.stats.expired_bytes += pkt.size
-                sp = self.spans
-                if sp is not None:
-                    sp.on_expire(pkt)
-                fl = self.flight
-                if fl is not None:
-                    fl.note("transport", "EXPIRE", flow=self.flow_id,
-                            frame=pkt.frame_id, size=pkt.size,
-                            late=self.sim.now - pkt.deadline)
-                tr = self.trace
-                if tr.enabled:
-                    tr.emit("transport", FRAME_ABANDONED, flow=self.flow_id,
+                ev = self.events
+                if ev.expire:
+                    ev.emit("expire", pkt, flow=self.flow_id,
                             frame=pkt.frame_id, size=pkt.size,
                             late=self.sim.now - pkt.deadline)
                 continue
@@ -465,12 +427,9 @@ class WindowedSender:
             # precomputed slot, so it must be rewritten alongside size.
             wire.size = 0
             wire.wire_size = HEADER_BYTES
-        sp = self.spans
-        if sp is not None:
-            sp.on_transmit(pkt)
-        tr = self.trace
-        if tr.enabled:
-            tr.emit("transport", PACKET_SEND, flow=self.flow_id, pkt=pkt.seq,
+        ev = self.events
+        if ev.send:
+            ev.emit("send", pkt, flow=self.flow_id, pkt=pkt.seq,
                     size=wire.size, marked=pkt.marked, skip=pkt.skip,
                     inflight=self.inflight)
         self.host.send(wire)
@@ -494,13 +453,9 @@ class WindowedSender:
         else:
             pkt.retransmit += 1
             self.stats.retransmissions += 1
-        fl = self.flight
-        if fl is not None:
-            fl.note("transport", "RETX", flow=self.flow_id, pkt=seq,
-                    reason="timeout" if timeout else "fast", skip=pkt.skip)
-        tr = self.trace
-        if tr.enabled:
-            tr.emit("transport", PACKET_RETX, flow=self.flow_id, pkt=seq,
+        ev = self.events
+        if ev.retx:
+            ev.emit("retx", flow=self.flow_id, pkt=seq,
                     reason="timeout" if timeout else "fast", skip=pkt.skip)
         self._transmit(pkt)
         if timeout:
@@ -522,18 +477,16 @@ class WindowedSender:
 
     def _on_new_ack(self, ack: int) -> None:
         newly = ack - self.snd_una
-        tr = self.trace
-        if tr.enabled:
-            tr.emit("transport", PACKET_ACK, flow=self.flow_id, ack=ack,
-                    newly=newly)
+        ev = self.events
+        if ev.ack:
+            ev.emit("ack", flow=self.flow_id, ack=ack, newly=newly)
         if self._consec_timeouts:
             self._consec_timeouts = 0
             if self._stalled:
                 self._stalled = False
                 self.stats.stall_recoveries += 1
-                fl = self.flight
-                if fl is not None:
-                    fl.note("transport", "RESUME", flow=self.flow_id,
+                if ev.resume:
+                    ev.emit("resume", flow=self.flow_id,
                             recoveries=self.stats.stall_recoveries)
                 self.coordinator.on_resume(self.sim.now)
         sample: float | None = None
@@ -643,11 +596,10 @@ class WindowedSender:
             return
         self.rtt.backoff()
         self.cc.on_timeout(self.inflight)
-        fl = self.flight
-        if fl is not None:
-            fl.note("transport", "RTO", flow=self.flow_id,
-                    head=self.snd_una, rto=self.rtt.rto,
-                    inflight=self.inflight)
+        ev = self.events
+        if ev.rto:
+            ev.emit("rto", flow=self.flow_id, head=self.snd_una,
+                    rto=self.rtt.rto, inflight=self.inflight)
         self._in_recovery = False
         self._dup_acks = 0
         self._repaired.clear()
@@ -657,8 +609,8 @@ class WindowedSender:
                     and self._consec_timeouts >= self.stall_threshold):
                 self._stalled = True
                 self.stats.stalls += 1
-                if fl is not None:
-                    fl.note("transport", "STALL", flow=self.flow_id,
+                if ev.stall:
+                    ev.emit("stall", flow=self.flow_id,
                             consec_timeouts=self._consec_timeouts)
                 self.coordinator.on_stall(self.sim.now)
         self._retransmit(self.snd_una, timeout=True)
@@ -697,25 +649,27 @@ class WindowedSender:
             return
         pm = self.metrics.roll(self.sim.now, self.rtt.rtt, self.cc.cwnd,
                                blackout=self._stalled)
+        ev = self.events
+        if ev.period:
+            extra = {"blackout": True} if pm.blackout else {}
+            ev.emit("period", flow=self.flow_id, sent=pm.sent, lost=pm.lost,
+                    error_ratio=pm.error_ratio, rate_bps=pm.rate_bps,
+                    rtt=pm.rtt, cwnd=pm.cwnd, **extra)
         if pm.sent >= self.MIN_PERIOD_SAMPLES and not pm.blackout:
-            tr = self.trace
             on_fire = None
-            if tr.enabled:
-                flow = self.flow_id
-
-                def on_fire(kind, out, _tr=tr, _flow=flow,
+            if ev.callback:
+                def on_fire(kind, out, _flow=self.flow_id,
                             _eratio=pm.error_ratio):
-                    _tr.emit("transport", CALLBACK_FIRED, flow=_flow,
-                             kind=kind, error_ratio=_eratio,
-                             returned_attrs=out is not None)
+                    ev.emit("callback", flow=_flow, kind=kind,
+                            error_ratio=_eratio,
+                            returned_attrs=out is not None)
 
             results = self.callbacks.evaluate(pm.error_ratio, pm.as_dict(),
                                               on_fire)
             for attrs in results:
-                tr = self.trace
-                if tr.enabled:
-                    tr.emit("transport", ATTR_SENT, flow=self.flow_id,
-                            via="callback", attrs=attrs.as_dict())
+                if ev.attr_sent:
+                    ev.emit("attr_sent", flow=self.flow_id, via="callback",
+                            attrs=attrs.as_dict())
                 self.coordinator.on_callback_result(attrs)
         self.coordinator.on_period(pm)
         self._pump()
@@ -726,9 +680,9 @@ class WindowedSender:
         if (self._finished and not self._completed and not self._pending
                 and self.snd_una == self.snd_nxt):
             self._completed = True
-            fl = self.flight
-            if fl is not None:
-                fl.note("transport", "COMPLETE", flow=self.flow_id,
+            ev = self.events
+            if ev.complete:
+                ev.emit("complete", flow=self.flow_id,
                         acked=self.stats.acked_packets,
                         skips=self.stats.skips_sent)
             if self._rto_event is not None:
@@ -790,9 +744,6 @@ class WindowedReceiver:
     #: the wire charge stays ACK_BYTES -- a real EACK packs ranges).
     EACK_LIMIT = 256
 
-    #: Span recorder hook, same class-attribute idiom as the sender's.
-    spans = None
-
     #: FEC decoder (:class:`repro.transport.fec.FecReceiver`) armed by the
     #: connection alongside the sender's coder; the disarmed receive path
     #: pays one ``pkt.fec is None`` slot read per data packet.
@@ -812,9 +763,7 @@ class WindowedReceiver:
         self.use_eack = use_eack
         self.reorder = ReorderBuffer()
         self.stats = FlowStats()
-        # Flight recorder reference for the FEC decoder's cold-path notes;
-        # the ordinary receive path never touches it.
-        self.flight = getattr(sim, "flight", None)
+        self.events = sim.events
         host.bind(port, self)
 
     # ------------------------------------------------------------------
@@ -845,16 +794,16 @@ class WindowedReceiver:
         self._send_ack()
 
     def _consume(self, pkt: Packet) -> None:
-        sp = self.spans
+        ev = self.events
         if pkt.skip:
             self.stats.skipped_received += 1
-            if sp is not None:
-                sp.on_skip(pkt)
+            if ev.skip:
+                ev.emit("skip", pkt)
             return
         self.stats.delivered_packets += 1
         self.stats.delivered_bytes += pkt.size
-        if sp is not None:
-            sp.on_deliver(pkt)
+        if ev.deliver:
+            ev.emit("deliver", pkt)
         if self.on_deliver is not None:
             self.on_deliver(pkt, self.sim.now)
 

@@ -45,7 +45,7 @@ class CongestionControl(abc.ABC):
         # Optional ``observer(reason, old_cwnd, new_cwnd)``; notified on
         # *discrete* window events (loss responses, coordination rescales,
         # LDA epochs) -- never per ACK, which would swamp any trace.  The
-        # sender wires this only when its simulator is being traced.
+        # sender wires this only while a subscriber records window changes.
         self.observer = None
 
     def _notify(self, reason: str, old: float) -> None:
@@ -53,7 +53,7 @@ class CongestionControl(abc.ABC):
         if obs is not None and self.cwnd != old:
             obs(reason, old, self.cwnd)
 
-    # The observer is live wiring (a closure over the trace bus), not part
+    # The observer is live wiring (the sender's stream emitter), not part
     # of the congestion state: results shipped between pool workers and the
     # parent pickle without it.
     def __getstate__(self):

@@ -225,10 +225,10 @@ class FecSender:
         for stripe in range(n_repair):
             covered = tuple(members[stripe::n_repair])
             self._send_repair(gen_id, stripe, covered)
-        fl = snd.flight
-        if fl is not None:
-            fl.note("transport", "FEC_GEN", flow=snd.flow_id, gen=gen_id,
-                    k=len(members), r=n_repair)
+        ev = snd.events
+        if ev.fec_gen:
+            ev.emit("fec_gen", flow=snd.flow_id, gen=gen_id, k=len(members),
+                    r=n_repair)
 
     def _send_repair(self, gen_id: int, stripe: int, covered: tuple) -> None:
         snd = self.sender
@@ -245,10 +245,9 @@ class FecSender:
         snd.host.send(pkt)
         state.repairs_sent += 1
         state.repair_bytes += size
-        tr = snd.trace
-        if tr.enabled:
-            from ..obs.events import FEC_REPAIR
-            tr.emit("transport", FEC_REPAIR, flow=snd.flow_id, gen=gen_id,
+        ev = snd.events
+        if ev.fec_repair:
+            ev.emit("fec_repair", flow=snd.flow_id, gen=gen_id,
                     stripe=stripe, size=size,
                     covered=[m[0] for m in covered])
 
@@ -297,10 +296,10 @@ class FecReceiver:
         # Beyond single-parity reach right now: hold for compound
         # recovery as ARQ fills holes; count the shortfall once.
         self.state.unrecoverable += 1
-        fl = getattr(self.receiver, "flight", None)
-        if fl is not None:
-            fl.note("transport", "FEC_SHORT", flow=self.receiver.flow_id,
-                    gen=gen_id, stripe=stripe, missing=len(missing))
+        ev = self.receiver.events
+        if ev.fec_short:
+            ev.emit("fec_short", flow=self.receiver.flow_id, gen=gen_id,
+                    stripe=stripe, missing=len(missing))
         if len(self.pending) >= self.PENDING_LIMIT:
             self.pending.pop(0)
             self.state.pending_evicted += 1
@@ -354,16 +353,8 @@ class FecReceiver:
         pkt.last_of_frame = last_of_frame
         pkt.sent_at = rcv.sim.now
         self.state.recovered += 1
-        sp = rcv.spans
-        if sp is not None:
-            sp.on_recover(pkt)
-        fl = getattr(rcv, "flight", None)
-        if fl is not None:
-            fl.note("transport", "FEC_RECOVERED", flow=rcv.flow_id,
-                    gen=gen_id, stripe=stripe, pkt=seq)
-        tr = getattr(rcv.sim, "bus", None)
-        if tr is not None and tr.enabled:
-            from ..obs.events import FEC_RECOVERED
-            tr.emit("transport", FEC_RECOVERED, flow=rcv.flow_id,
-                    gen=gen_id, stripe=stripe, pkt=seq, size=size)
+        ev = rcv.events
+        if ev.fec_recovered:
+            ev.emit("fec_recovered", pkt, flow=rcv.flow_id, gen=gen_id,
+                    stripe=stripe, pkt=seq, size=size)
         rcv.receive(pkt)

@@ -24,9 +24,9 @@ class IqRudpConnection(RudpConnection):
     "IQ-RUDP w/o ADAPT_COND" is ``use_adapt_cond=False``; setting all three
     False degenerates to plain RUDP (tested as an invariant).
 
-    When the simulator carries an enabled :class:`repro.obs.TraceBus`, the
-    coordinator emits ``ATTR_RECEIVED``/``COORD_ACTION`` events for every
-    exchange, which is what ``repro report``'s coordination audit pairs up.
+    The coordinator emits every attribute exchange and the actions it
+    causes into the simulator's event stream; traced, they become the
+    ``ATTR_RECEIVED``/``COORD_ACTION`` pairs ``repro report`` audits.
 
     With a ``fec=`` config (inherited from :class:`RudpConnection`) the
     coordinator additionally owns the repair redundancy: it honours

@@ -120,9 +120,3 @@ class RudpConnection:
     @property
     def completed(self) -> bool:
         return self.sender.completed
-
-    @property
-    def trace(self):
-        """The trace bus this flow publishes to (``NULL_BUS`` unless the
-        owning simulator was given an enabled ``repro.obs`` bus)."""
-        return self.sender.trace

@@ -340,6 +340,27 @@ def test_sigint_mid_campaign_then_resume(tmp_path):
     assert resumed.report().to_json() == fresh.report().to_json()
 
 
+def test_worker_ignores_signals_after_the_first_interrupt(tmp_path,
+                                                        monkeypatch):
+    """A worker can get SIGINT (process group) and then SIGTERM (parent):
+    the first ends it, and every later one is ignored so it cannot cut
+    short the claim release and the "exited" heartbeat."""
+    from repro.campaign.exec import _worker_main
+    monkeypatch.setenv("REPRO_PROGRESS", "1")  # _worker_main overrides it
+    saved = {sig: signal.getsignal(sig)
+             for sig in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        _worker_main(str(tmp_path), "w0", 30.0, [], False, None, 0)
+        with pytest.raises(KeyboardInterrupt):
+            signal.raise_signal(signal.SIGTERM)
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_IGN
+        signal.raise_signal(signal.SIGINT)  # ignored: no exception
+    finally:
+        for sig, handler in saved.items():
+            signal.signal(sig, handler)
+
+
 def test_torn_cell_file_is_healed_on_rerun(tmp_path):
     """A cell result file that exists but does not unpickle (torn write)
     must be re-executed, not skipped-on-existence forever."""

@@ -5,6 +5,7 @@ import pytest
 from repro.core.attributes import (ADAPT_COND, ADAPT_FREQ, ADAPT_MARK,
                                    ADAPT_PKTSIZE, ADAPT_WHEN, AttributeSet)
 from repro.core.coordination import IQCoordinator, NullCoordinator
+from repro.obs.bus import NULL_STREAM
 from repro.transport.lda import LdaCC
 
 
@@ -17,6 +18,7 @@ class FakeSender:
         self.last_frame_size = frame_size
         self.discard_unmarked = False
         self._eratio = error_ratio
+        self.events = NULL_STREAM
 
     def current_error_ratio(self):
         return self._eratio

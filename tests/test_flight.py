@@ -69,6 +69,8 @@ def test_flight_from_env_semantics(monkeypatch):
     assert flight_from_env().capacity == 64
     monkeypatch.setenv("REPRO_FLIGHT", "not-a-number")
     assert flight_from_env().capacity == DEFAULT_CAPACITY
+    monkeypatch.setenv("REPRO_FLIGHT", "-5")
+    assert flight_from_env().capacity == DEFAULT_CAPACITY
 
 
 def _dump(n, *, capacity=8):

@@ -1,40 +1,100 @@
-"""Unit tests for the trace bus: null-object discipline, determinism of
-sequence/timestamp stamping, and pickle behaviour (the worker pool and the
-persistent cache both ship objects that may hold a bus)."""
+"""Unit tests for the event stream and its trace subscriber: per-kind
+arming (a kind nobody records is one guard and never reaches the stream),
+determinism of sequence/timestamp stamping, the ATTR -> ACTION pairing
+kept by the subscribers, and pickle behaviour (the worker pool and the
+persistent cache both ship objects that hold a stream)."""
 
+import pathlib
 import pickle
+import re
 
 import pytest
 
-from repro.obs.bus import NULL_BUS, NullBus, TraceBus
-from repro.obs.events import PACKET_SEND, TraceEvent
+from repro.obs.bus import NULL_STREAM, EventStream, TraceBus
+from repro.obs.events import PACKET_SEND, PER_PACKET, ROUTES, TraceEvent
+from repro.obs.flight import FlightRecorder
 from repro.obs.sinks import RingBufferSink
+from repro.obs.spans import SpanRecorder
 from repro.sim.engine import Simulator
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def armed(ev) -> set:
+    """Kinds some subscriber of ``ev`` records."""
+    return {k for k in ROUTES if getattr(ev, k)}
 
 
 class PoisonedSink:
-    """Raises on any append: proves the disabled path never reaches sinks."""
+    """Raises on any append: proves the disarmed path never reaches sinks."""
 
     def append(self, ev):
-        raise AssertionError("sink touched on a disabled path")
+        raise AssertionError("sink touched on a disarmed path")
 
 
-class TestNullBus:
-    def test_disabled_class_attribute(self):
-        assert NullBus.enabled is False
-        assert NULL_BUS.enabled is False
-        # No per-instance storage: the guard is a plain class-attr load.
-        assert NullBus.__slots__ == ()
+class TestDisarmedStream:
+    def test_fresh_stream_has_every_kind_disarmed(self):
+        ev = Simulator().events
+        assert armed(ev) == set()
+        # Each kind is a slot: the call-site guard is a plain slot load.
+        assert set(ROUTES) <= set(EventStream.__slots__)
 
-    def test_emit_is_a_noop(self):
-        assert NULL_BUS.emit("transport", PACKET_SEND, seq=1) == -1
+    def test_null_stream_refuses_subscribers(self):
+        assert armed(NULL_STREAM) == set()
+        with pytest.raises(TypeError):
+            NULL_STREAM.subscribe(FlightRecorder())
 
-    def test_pickle_preserves_singleton(self):
-        clone = pickle.loads(pickle.dumps(NULL_BUS))
-        assert clone is NULL_BUS
+    def test_simulator_owns_an_attached_stream(self):
+        sim = Simulator()
+        assert isinstance(sim.events, EventStream)
+        stream = EventStream()
+        stream.attach(sim)
+        assert sim.events is stream
+        sim._now = 2.5
+        sink = RingBufferSink()
+        stream.subscribe(TraceBus(sim, sinks=[sink]))
+        stream.emit("ack", flow=1, ack=3, newly=1)
+        assert sink.events[0].t == 2.5
 
-    def test_simulator_defaults_to_null_bus(self):
-        assert Simulator().bus is NULL_BUS
+
+class TestArming:
+    def test_flight_ring_alone_arms_no_per_packet_kind(self):
+        ev = EventStream()
+        ev.subscribe(FlightRecorder())
+        recorded = armed(ev)
+        assert recorded == {k for k, r in ROUTES.items() if r.label}
+        assert not recorded & set(PER_PACKET)
+
+    def test_each_subscriber_arms_what_it_records(self):
+        ev = EventStream()
+        ev.subscribe(SpanRecorder())
+        assert armed(ev) == {k for k, r in ROUTES.items() if r.span}
+        ev.subscribe(TraceBus(Simulator()))
+        assert armed(ev) == {k for k, r in ROUTES.items()
+                                   if r.span or r.etype}
+
+    def test_pickled_stream_comes_back_disarmed(self):
+        ev = EventStream()
+        ev.subscribe(TraceBus(Simulator(), sinks=[PoisonedSink()]))
+        clone = pickle.loads(pickle.dumps(ev))
+        assert armed(clone) == set() and clone.subscribers == []
+
+    def test_every_emit_site_names_a_routed_kind(self):
+        """Call sites are ``if ev.<kind>: ev.emit("<kind>", ...)``: every
+        emitted kind and every guard slot read names a routed kind."""
+        emitted, guarded = set(), set()
+        for path in (SRC / "sim", SRC / "transport", SRC / "core",
+                     SRC / "middleware", SRC / "faults", SRC / "invariants",
+                     SRC / "experiments"):
+            for py in path.rglob("*.py"):
+                text = py.read_text()
+                emitted |= set(re.findall(r'\bemit\("(\w+)"', text))
+                guarded |= {a or b for a, b in re.findall(
+                    r"\b(?:el)?if (?:[\w .!=]+ and )?ev\.(\w+)"
+                    r"|(?<!obs\.)\bevents\.([a-z_]+)\b(?!\()", text)}
+        assert emitted <= set(ROUTES), emitted - set(ROUTES)
+        assert guarded <= set(ROUTES), guarded - set(ROUTES)
+        assert emitted == set(ROUTES)  # no routed kind is dead
 
 
 class TestTraceBus:
@@ -42,7 +102,6 @@ class TestTraceBus:
         sim = Simulator()
         sink = RingBufferSink()
         bus = TraceBus(sim, sinks=[sink])
-        assert bus.enabled
         sim._now = 1.5
         first = bus.emit("transport", PACKET_SEND, seq=7, size=1400)
         sim._now = 2.0
@@ -67,21 +126,35 @@ class TestTraceBus:
         bus = TraceBus(Simulator(), sinks=[RingBufferSink()])
         bus.emit("transport", PACKET_SEND)
         clone = pickle.loads(pickle.dumps(bus))
-        assert clone.enabled is False
         assert clone.sinks == []
-        # The hook-point pattern on the revived object is a harmless no-op.
-        if clone.enabled:
-            clone.emit("transport", PACKET_SEND)
+        assert clone.events_emitted == 1
 
     def test_disabled_guard_protects_poisoned_sink(self):
-        """Every hook site is written as ``if tr.enabled: tr.emit(...)``;
-        on a disabled bus the sink (even a poisoned one) is unreachable."""
-        inert = pickle.loads(pickle.dumps(TraceBus(Simulator())))
-        inert.sinks.append(PoisonedSink())
-        for tr in (NULL_BUS, inert):
+        """Every hook site is written as ``if ev.<kind>: ev.emit(...)``;
+        on a disarmed stream the sink (even a poisoned one) is
+        unreachable."""
+        live = EventStream()
+        live.subscribe(TraceBus(Simulator(), sinks=[PoisonedSink()]))
+        inert = pickle.loads(pickle.dumps(live))
+        for ev in (NULL_STREAM, inert, EventStream()):
             for _ in range(100):
-                if tr.enabled:
-                    tr.emit("transport", PACKET_SEND)
+                if ev.send:
+                    ev.emit("send", None, flow=1)
+
+    def test_paired_actions_carry_the_exchange_seq(self):
+        sink = RingBufferSink()
+        ev = EventStream()
+        ev.subscribe(TraceBus(Simulator(), sinks=[sink]))
+        spans = ev.subscribe(SpanRecorder())
+        ev.emit("attrs", flow=1, attrs={"ADAPT_MARK": 0.4})
+        ev.emit("action", flow=1, action="discard", enabled=True)
+        ev.emit("transport_action", flow=1, action="stall_degrade")
+        objs = [e.as_obj() for e in sink.events]
+        assert list(objs[1]) == ["seq", "t", "layer", "event", "flow",
+                                 "attr_seq", "action", "enabled"]
+        assert objs[1]["attr_seq"] == objs[0]["seq"] == 0
+        assert "attr_seq" not in objs[2]
+        assert [a["episode"] for a in spans.actions] == [0, None]
 
     def test_event_pickle_roundtrip(self):
         ev = TraceEvent(3, 0.25, "coord", "COORD_ACTION",
@@ -93,9 +166,13 @@ class TestTraceBus:
                                   "action": "discard", "enabled": True}
 
     def test_untraced_run_emits_nothing(self):
-        """A scenario without a trace sink keeps the null bus end to end."""
+        """A scenario without a trace sink has no trace subscriber, and
+        with only the flight ring armed no per-packet kind is armed."""
         from repro.experiments.common import ScenarioConfig, run_scenario
         res = run_scenario(ScenarioConfig(transport="iq", workload="greedy",
                                           n_frames=50, time_cap=60.0))
         assert res.completed
-        assert res.conn.sender.trace is NULL_BUS
+        ev = res.sim.events
+        assert not any(isinstance(s, TraceBus) for s in ev.subscribers)
+        assert not armed(ev) & set(PER_PACKET)
+        assert res.conn.sender.events is ev

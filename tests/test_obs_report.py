@@ -7,7 +7,7 @@ import pytest
 from repro.core.attributes import (ADAPT_COND, ADAPT_MARK, ADAPT_PKTSIZE,
                                    ADAPT_WHEN, AttributeSet)
 from repro.core.coordination import IQCoordinator
-from repro.obs.bus import TraceBus
+from repro.obs.bus import EventStream, TraceBus
 from repro.obs.events import (ATTR_RECEIVED, COORD_ACTION, CWND_CHANGE,
                               PACKET_SEND)
 from repro.obs.report import (TIMELINE_EVENTS, coordination_audit,
@@ -28,13 +28,14 @@ class TracedSender:
         self.flow_id = 1
         self._eratio = error_ratio
         self.sink = RingBufferSink()
-        self.trace = TraceBus(Simulator(), sinks=[self.sink])
+        self.events = EventStream()
+        self.events.subscribe(TraceBus(Simulator(), sinks=[self.sink]))
 
     def current_error_ratio(self):
         return self._eratio
 
     @property
-    def events(self):
+    def traced(self):
         return [ev.as_obj() for ev in self.sink.events]
 
 
@@ -57,7 +58,7 @@ class TestAuditPaperCases:
         switch it caused."""
         snd = TracedSender()
         drive(snd, AttributeSet({ADAPT_MARK: 0.4}))
-        events = snd.events
+        events = snd.traced
         (act,) = action_events(events, "discard")
         assert act["enabled"] is True and act["changed"] is True
         assert act["unmark_p"] == pytest.approx(0.4)
@@ -74,7 +75,7 @@ class TestAuditPaperCases:
         window by exactly 1/(1-rate_chg) = 2x."""
         snd = TracedSender(cwnd=20.0, frame_size=700)
         drive(snd, AttributeSet({ADAPT_PKTSIZE: 0.5}))
-        (act,) = action_events(snd.events, "window_rescale")
+        (act,) = action_events(snd.traced, "window_rescale")
         assert act["base_factor"] == pytest.approx(1.0 / (1.0 - 0.5))
         assert act["drift"] == pytest.approx(1.0)
         assert act["factor"] == pytest.approx(2.0)
@@ -86,10 +87,10 @@ class TestAuditPaperCases:
         MSS; the audit still records why nothing changed."""
         snd = TracedSender(cwnd=20.0, frame_size=1400)
         drive(snd, AttributeSet({ADAPT_PKTSIZE: 0.5}))
-        (act,) = action_events(snd.events, "rescale_skipped_large_frame")
+        (act,) = action_events(snd.traced, "rescale_skipped_large_frame")
         assert act["last_frame_size"] == 1400 and act["mss"] == 1400
         assert snd.cc.cwnd == pytest.approx(20.0)
-        assert len(coordination_audit(snd.events)["pairs"]) == 1
+        assert len(coordination_audit(snd.traced)["pairs"]) == 1
 
     def test_granularity_pending_then_drift_corrected_rescale(self):
         """Section 3.5: a pending adaptation followed by the executed change
@@ -100,7 +101,7 @@ class TestAuditPaperCases:
             AttributeSet({ADAPT_WHEN: "pending"}),
             AttributeSet({ADAPT_PKTSIZE: 0.2,
                           ADAPT_COND: {"error_ratio": 0.1}}))
-        events = snd.events
+        events = snd.traced
         assert len(action_events(events, "pending")) == 1
         (act,) = action_events(events, "window_rescale")
         drift = (1.0 - 0.05) / (1.0 - 0.1)

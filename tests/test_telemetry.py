@@ -117,7 +117,8 @@ class TestRecorderEndToEnd:
     def test_disarmed_run_has_no_recorder_events(self):
         res = run_scenario(_congested(telemetry=None))
         assert res.telemetry is None
-        assert type(res.conn.sender).telemetry is None
+        assert not any(isinstance(s, Telemetry)
+                       for s in res.sim.events.subscribers)
 
     def test_byte_identical_across_worker_counts(self):
         cfgs = {f"s{seed}": _congested(seed=seed) for seed in (1, 2)}
