@@ -137,7 +137,7 @@ def bench_obs_overhead(benchmark, perf_record, tmp_path):
     def emit_into(sink):
         sim = Simulator()
         stream = EventStream(sim)
-        stream.subscribe(TraceBus(sim, sinks=[sink]))
+        stream.subscribe(TraceBus(sinks=[sink]))
         emit = stream.emit
         for i in range(n_emit):
             emit("ack", flow=1, ack=i, newly=1)

@@ -370,7 +370,7 @@ def _run_scenario(cfg: ScenarioConfig, events: EventStream, flight, *,
     # construction: components cache ``sim.events`` when they are built.
     events.attach(sim)
     if trace_sink is not None:
-        events.subscribe(TraceBus(sim, sinks=[trace_sink]))
+        events.subscribe(TraceBus(sinks=[trace_sink]))
     # Burst speed tier: the Dumbbell reads this flag and builds BatchLink
     # everywhere.  REPRO_BURST is a process-wide opt-in (like
     # REPRO_INVARIANTS); safe outside the config key because burst runs

@@ -93,12 +93,10 @@ NULL_STREAM = EventStream()
 
 
 class TraceBus:
-    """The trace subscriber: numbers (``seq``, the total order of one
-    simulation's trace) and fans events out to its sinks.  :meth:`emit`
-    records one directly, outside any stream, and returns its ``seq``."""
+    """The trace subscriber: numbers events (``seq``, the total order of
+    one simulation's trace) and fans them out to its sinks."""
 
-    def __init__(self, sim, sinks=()) -> None:
-        self._sim = sim
+    def __init__(self, sinks=()) -> None:
         self._seq = 0
         self._attr_seq = -1
         self.sinks = list(sinks)
@@ -131,17 +129,13 @@ class TraceBus:
             return seq
         return record
 
-    def emit(self, layer: str, etype: str, **fields: Any) -> int:
-        return self._recorder(layer, etype)(self._sim._now, None, fields)
-
     @property
     def events_emitted(self) -> int:
         return self._seq
 
     # -- pickling: come back inert (see module docstring) -----------------
     def __getstate__(self):
-        return {"_sim": None, "_seq": self._seq, "_attr_seq": -1,
-                "sinks": []}
+        return {"_seq": self._seq, "_attr_seq": -1, "sinks": []}
 
     def __setstate__(self, state):
         self.__dict__.update(state)

@@ -75,18 +75,12 @@ class FlightRecorder:
         return partial(self._note, route.layer, route.label, route.keys)
 
     def _note(self, layer: str, label: str, keys, t: float, subject,
-              fields: dict) -> int:
+              fields: dict) -> None:
         i = self._next_id
         self._next_id = i + 1
         if keys is not None:
             fields = {k: fields[k] for k in keys}
         self._ring.append((i, t, layer, label, fields))
-        return i
-
-    def note(self, layer: str, etype: str, **fields: Any) -> int:
-        """Append one event outside any stream (at ``t=0.0``); returns its
-        monotone id.  O(1)."""
-        return self._note(layer, etype, None, 0.0, None, fields)
 
     def __len__(self) -> int:
         return len(self._ring)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.invariants import InvariantViolation
+from repro.obs.bus import EventStream
 from repro.obs.flight import (DEFAULT_CAPACITY, FlightRecorder,
                               first_divergence, flight_from_env,
                               render_flight)
@@ -47,11 +48,18 @@ def hang_adaptation():
 # ----------------------------------------------------------------------
 # Ring mechanics
 # ----------------------------------------------------------------------
+def _noted(n, *, capacity):
+    """A recorder that took ``n`` notes through an event stream."""
+    fl = FlightRecorder(capacity=capacity)
+    ev = EventStream()
+    ev.subscribe(fl)
+    for i in range(n):
+        ev.emit("violation", name="E", i=i)
+    return fl
+
+
 def test_ring_evicts_oldest_and_keeps_monotone_ids():
-    fl = FlightRecorder(capacity=4)
-    for i in range(10):
-        fl.note("run", "E", i=i)
-    dump = fl.dump()
+    dump = _noted(10, capacity=4).dump()
     assert dump["capacity"] == 4
     assert dump["events_noted"] == 10
     assert [ev["id"] for ev in dump["events"]] == [6, 7, 8, 9]
@@ -74,10 +82,7 @@ def test_flight_from_env_semantics(monkeypatch):
 
 
 def _dump(n, *, capacity=8):
-    fl = FlightRecorder(capacity=capacity)
-    for i in range(n):
-        fl.note("run", "E", i=i)
-    return fl.dump()
+    return _noted(n, capacity=capacity).dump()
 
 
 def test_first_divergence():

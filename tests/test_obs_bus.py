@@ -52,7 +52,7 @@ class TestDisarmedStream:
         assert sim.events is stream
         sim._now = 2.5
         sink = RingBufferSink()
-        stream.subscribe(TraceBus(sim, sinks=[sink]))
+        stream.subscribe(TraceBus(sinks=[sink]))
         stream.emit("ack", flow=1, ack=3, newly=1)
         assert sink.events[0].t == 2.5
 
@@ -69,13 +69,13 @@ class TestArming:
         ev = EventStream()
         ev.subscribe(SpanRecorder())
         assert armed(ev) == {k for k, r in ROUTES.items() if r.span}
-        ev.subscribe(TraceBus(Simulator()))
+        ev.subscribe(TraceBus())
         assert armed(ev) == {k for k, r in ROUTES.items()
                                    if r.span or r.etype}
 
     def test_pickled_stream_comes_back_disarmed(self):
         ev = EventStream()
-        ev.subscribe(TraceBus(Simulator(), sinks=[PoisonedSink()]))
+        ev.subscribe(TraceBus(sinks=[PoisonedSink()]))
         clone = pickle.loads(pickle.dumps(ev))
         assert armed(clone) == set() and clone.subscribers == []
 
@@ -101,30 +101,30 @@ class TestTraceBus:
     def test_emit_stamps_seq_and_sim_clock(self):
         sim = Simulator()
         sink = RingBufferSink()
-        bus = TraceBus(sim, sinks=[sink])
+        bus = sim.events.subscribe(TraceBus(sinks=[sink]))
         sim._now = 1.5
-        first = bus.emit("transport", PACKET_SEND, seq=7, size=1400)
+        sim.events.emit("send", None, flow=1, pkt=7, size=1400)
         sim._now = 2.0
-        second = bus.emit("net", "PACKET_DROP", kind="wire")
-        assert (first, second) == (0, 1)
+        sim.events.emit("drop", None, link="l", kind="wire")
         assert bus.events_emitted == 2
         evs = sink.events
         assert [ev.seq for ev in evs] == [0, 1]
         assert [ev.t for ev in evs] == [1.5, 2.0]
-        assert evs[0].layer == "transport"
-        assert evs[0].fields == {"seq": 7, "size": 1400}
+        assert (evs[0].layer, evs[0].etype) == ("transport", PACKET_SEND)
+        assert evs[0].fields == {"flow": 1, "pkt": 7, "size": 1400}
 
     def test_fans_out_to_every_sink(self):
-        sim = Simulator()
         a, b = RingBufferSink(), RingBufferSink()
-        bus = TraceBus(sim, sinks=[a, b])
-        bus.emit("app", "ADAPT_ACTION", trigger="upper")
+        ev = EventStream()
+        ev.subscribe(TraceBus(sinks=[a, b]))
+        ev.emit("adapt", trigger="upper")
         assert len(a) == len(b) == 1
         assert a.events == b.events
 
     def test_pickles_back_inert(self):
-        bus = TraceBus(Simulator(), sinks=[RingBufferSink()])
-        bus.emit("transport", PACKET_SEND)
+        ev = EventStream()
+        bus = ev.subscribe(TraceBus(sinks=[RingBufferSink()]))
+        ev.emit("send", None, flow=1)
         clone = pickle.loads(pickle.dumps(bus))
         assert clone.sinks == []
         assert clone.events_emitted == 1
@@ -134,7 +134,7 @@ class TestTraceBus:
         on a disarmed stream the sink (even a poisoned one) is
         unreachable."""
         live = EventStream()
-        live.subscribe(TraceBus(Simulator(), sinks=[PoisonedSink()]))
+        live.subscribe(TraceBus(sinks=[PoisonedSink()]))
         inert = pickle.loads(pickle.dumps(live))
         for ev in (NULL_STREAM, inert, EventStream()):
             for _ in range(100):
@@ -144,7 +144,7 @@ class TestTraceBus:
     def test_paired_actions_carry_the_exchange_seq(self):
         sink = RingBufferSink()
         ev = EventStream()
-        ev.subscribe(TraceBus(Simulator(), sinks=[sink]))
+        ev.subscribe(TraceBus(sinks=[sink]))
         spans = ev.subscribe(SpanRecorder())
         ev.emit("attrs", flow=1, attrs={"ADAPT_MARK": 0.4})
         ev.emit("action", flow=1, action="discard", enabled=True)

@@ -13,7 +13,6 @@ from repro.obs.events import (ATTR_RECEIVED, COORD_ACTION, CWND_CHANGE,
 from repro.obs.report import (TIMELINE_EVENTS, coordination_audit,
                               render_audit, render_report, render_timeline)
 from repro.obs.sinks import RingBufferSink
-from repro.sim.engine import Simulator
 from repro.transport.lda import LdaCC
 
 
@@ -29,7 +28,7 @@ class TracedSender:
         self._eratio = error_ratio
         self.sink = RingBufferSink()
         self.events = EventStream()
-        self.events.subscribe(TraceBus(Simulator(), sinks=[self.sink]))
+        self.events.subscribe(TraceBus(sinks=[self.sink]))
 
     def current_error_ratio(self):
         return self._eratio

@@ -194,6 +194,7 @@ class TestLineageCli:
 # ----------------------------------------------------------------------
 def test_fuzz_compare_emits_forensics_record_on_mismatch():
     from repro.fuzz import FuzzReport, _compare
+    from repro.obs.bus import EventStream
     from repro.obs.flight import FlightRecorder
 
     class _Res:
@@ -205,8 +206,10 @@ def test_fuzz_compare_emits_forensics_record_on_mismatch():
 
     def _flight(n):
         fl = FlightRecorder(capacity=8)
+        ev = EventStream()
+        ev.subscribe(fl)
         for i in range(n):
-            fl.note("run", "E", i=i)
+            ev.emit("violation", name="E", i=i)
         return fl.dump()
 
     report = FuzzReport(budget=1, seed=1)
