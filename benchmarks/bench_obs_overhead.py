@@ -17,10 +17,14 @@ in ``perf_baseline.json``):
 * ``trace_overhead`` -- ``disabled_overhead_pct`` (the guard estimate,
   <= 3%) plus stream emit throughput into the in-memory ring buffer and
   the streaming JSONL writer.
-* ``flight_overhead`` -- ``flight_overhead_pct``: the armed ring's
-  whole-scenario delta against ``REPRO_FLIGHT=0`` (<= 3%; the ring records
-  no per-packet kind), ``spans_overhead_pct`` (the guard estimate, <= 3%)
-  and, for information, the armed span cost.
+* ``flight_overhead`` -- ``flight_overhead_pct``: the armed ring's cost,
+  again compositional -- per-note cost (one emit of a queue drop into a
+  stream with only the ring armed) x the notes a congested scenario takes,
+  against that scenario's ``REPRO_FLIGHT=0`` wall time (<= 3%; the ring
+  records no per-packet kind).  A whole-scenario delta would be a
+  difference of two noisy timings, so it is kept for information only
+  (``flight_armed_delta_pct``).  Also ``spans_overhead_pct`` (the guard
+  estimate, <= 3%) and, for information, the armed span cost.
 * ``telemetry_overhead`` -- ``telemetry_overhead_pct`` (the guard
   estimate, <= 3%) and ``armed_overhead_pct``: the armed sampler's
   whole-scenario delta (<= 25%; it scales with the cadence, not the
@@ -32,7 +36,8 @@ import time
 
 from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.middleware.receiver import DeliveryLog
-from repro.obs.bus import EventStream, TraceBus
+from repro.obs.bus import TraceBus
+from repro.obs.flight import FlightRecorder
 from repro.obs.sinks import JsonlTraceSink, RingBufferSink
 from repro.obs.telemetry import TelemetryConfig
 from repro.sim.engine import Simulator
@@ -99,11 +104,29 @@ def bench_obs_overhead(benchmark, perf_record, tmp_path):
     packet_ns = _best_s(transfer) / n_pkts * 1e9
     guard_pct = round(100.0 * guard_ns * GUARDS_PER_PACKET / packet_ns, 4)
 
-    # -- armed ring and armed telemetry: whole-scenario deltas -------------
+    # -- per-note cost: one queue-drop emit into the armed ring ------------
+    n_note = 50_000
+
+    def note_loop():
+        stream = Simulator().events
+        stream.subscribe(FlightRecorder())
+        for i in range(n_note):
+            if stream.drop:
+                stream.emit("drop", None, link="bottleneck", kind="queue",
+                            flow=1, pkt=i, size=1428, queued_pkts=64,
+                            queued_bytes=91392)
+
+    note_ns = _best_s(note_loop) / n_note * 1e9
+
+    # -- a congested scenario: the ring's notes, the armed sampler --------
+    # CBR cross traffic overflows the bottleneck, so the ring notes every
+    # queue drop and retransmission -- many more notes than a clean run.
     cfg = ScenarioConfig(transport="rudp", workload="greedy", n_frames=2000,
-                         base_frame_size=1400, time_cap=120.0)
+                         base_frame_size=1400, cbr_bps=16e6, time_cap=120.0)
     telemetry = cfg.replace(telemetry=TelemetryConfig(cadence_s=0.1))
-    run_scenario(cfg)  # warm-up: first-call setup must not bias the deltas
+    # warm-up (first-call setup must not bias the timings); the note count
+    # is a pure function of the config
+    notes = run_scenario(cfg).flight["events_noted"]
     saved = os.environ.pop("REPRO_FLIGHT", None)
     ring_s = bare_s = tel_s = float("inf")
 
@@ -128,15 +151,14 @@ def bench_obs_overhead(benchmark, perf_record, tmp_path):
             os.environ["REPRO_FLIGHT"] = saved
     spans_s = _best_s(lambda: run_scenario(cfg.replace(spans=True)),
                       repeats=3)
-    flight_pct = _pct(ring_s, bare_s)
+    flight_pct = 100.0 * note_ns * notes / (bare_s * 1e9)
     telemetry_armed_pct = _pct(tel_s, ring_s)
 
     # -- armed trace: stream emit throughput, per sink ---------------------
     n_emit = 50_000
 
     def emit_into(sink):
-        sim = Simulator()
-        stream = EventStream(sim)
+        stream = Simulator().events
         stream.subscribe(TraceBus(sinks=[sink]))
         emit = stream.emit
         for i in range(n_emit):
@@ -159,7 +181,10 @@ def bench_obs_overhead(benchmark, perf_record, tmp_path):
     perf_record("flight_overhead",
                 guard_ns=round(guard_ns, 3),
                 packet_ns=round(packet_ns, 1),
+                note_ns=round(note_ns, 1),
+                notes=notes,
                 flight_overhead_pct=round(flight_pct, 4),
+                flight_armed_delta_pct=round(_pct(ring_s, bare_s), 2),
                 spans_overhead_pct=guard_pct,
                 spans_armed_pct=round(_pct(spans_s, ring_s), 2))
     perf_record("telemetry_overhead",

@@ -165,6 +165,12 @@ def worker_loop(store: CampaignStore,
                         hb.claim(label, key)
                     res = run_one(cfg, cache=cache, on_error="capture",
                                   timeout=timeout, retries=retries)
+                    if (isinstance(res, FailedResult)
+                            and res.kind == "interrupted"):
+                        # The supervisor (timeout set) turned ^C into a
+                        # row; the cell never ran, so leave it for resume
+                        # and end this worker like an unsupervised run.
+                        raise KeyboardInterrupt
                     store.store_cell(key, res)
                     executed += 1
                     progressed = True

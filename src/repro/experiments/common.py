@@ -21,7 +21,7 @@ from ..analysis.stats import flow_summary
 from ..faults import FaultInjector, FaultSchedule
 from ..invariants import CheckedSimulator, InvariantChecker
 from ..middleware.adaptation import AdaptationStrategy, NullAdaptation
-from ..obs.bus import EventStream, TraceBus
+from ..obs.bus import TraceBus
 from ..obs.flight import flight_from_env
 from ..obs.metrics import MetricsRegistry, collect_scenario_metrics
 from ..obs.spans import SpanRecorder
@@ -320,25 +320,41 @@ def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
 
     Every run additionally carries an always-on flight recorder
     (:mod:`repro.obs.flight`, disable with ``REPRO_FLIGHT=0``): subscribed
-    to the run's event stream *before* any scenario construction so even a
-    setup crash leaves a dump, which is attached to the raised exception
-    as ``flight_dump`` (the runner moves it onto
+    to the simulator's event stream as soon as the simulator exists, so
+    even a setup crash leaves a dump, which is attached to the raised
+    exception as ``flight_dump`` (the runner moves it onto
     :class:`~repro.runner.FailedResult`) and to ``ScenarioResult.flight``
     on success.
     """
-    events = EventStream()
     flight = flight_from_env()
-    if flight is not None:
-        events.subscribe(flight)
-    if events.run_start:
-        events.emit("run_start", scenario=f"{cfg.transport}/{cfg.workload}"
-                                          f"/seed={cfg.seed}")
+    sim = None
     try:
-        return _run_scenario(cfg, events, flight, trace_sink=trace_sink,
+        # Invariant checking (repro.invariants): the checked engine plus a
+        # periodic read-only checker.  Armed and disarmed runs produce
+        # bit-identical summaries -- checks observe, never steer -- so the
+        # flag deliberately *is* part of the config (and the cache key): a
+        # violation aborts the run, which is a different outcome.
+        armed = cfg.invariants or bool(os.environ.get("REPRO_INVARIANTS"))
+        if profile is not None:
+            if armed:
+                raise ValueError(
+                    "profiling and armed invariants are mutually exclusive "
+                    "(both replace the engine run loop)")
+            from ..obs.profiler import ProfiledSimulator
+            sim = ProfiledSimulator(profile)
+        else:
+            sim = CheckedSimulator() if armed else Simulator()
+        events = sim.events
+        if flight is not None:
+            events.subscribe(flight)
+        if events.run_start:
+            events.emit("run_start", scenario=f"{cfg.transport}/"
+                                              f"{cfg.workload}/seed={cfg.seed}")
+        return _run_scenario(cfg, sim, armed, flight, trace_sink=trace_sink,
                              profile=profile)
     except BaseException as exc:
-        if events.run_error:
-            events.emit("run_error", error=type(exc).__name__)
+        if sim is not None and sim.events.run_error:
+            sim.events.emit("run_error", error=type(exc).__name__)
         if flight is not None:
             try:
                 exc.flight_dump = flight.dump()
@@ -347,28 +363,14 @@ def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
         raise
 
 
-def _run_scenario(cfg: ScenarioConfig, events: EventStream, flight, *,
-                  trace_sink=None, profile=None) -> ScenarioResult:
-    # Invariant checking (repro.invariants): the checked engine plus a
-    # periodic read-only checker.  Armed and disarmed runs produce
-    # bit-identical summaries -- checks observe, never steer -- so the
-    # flag deliberately *is* part of the config (and the cache key): a
-    # violation aborts the run, which is a different outcome.
-    armed = cfg.invariants or bool(os.environ.get("REPRO_INVARIANTS"))
+def _run_scenario(cfg: ScenarioConfig, sim: Simulator, armed: bool, flight,
+                  *, trace_sink=None, profile=None) -> ScenarioResult:
     if profile is not None:
-        if armed:
-            raise ValueError(
-                "profiling and armed invariants are mutually exclusive "
-                "(both replace the engine run loop)")
-        from ..obs.profiler import ProfiledSimulator
         from time import perf_counter
-        sim = ProfiledSimulator(profile)
         _t_phase = perf_counter()
-    else:
-        sim = CheckedSimulator() if armed else Simulator()
-    # Every recorder subscribes to one stream, attached before topology
-    # construction: components cache ``sim.events`` when they are built.
-    events.attach(sim)
+    # Every recorder subscribes to the simulator's one stream before
+    # topology construction: components cache ``sim.events`` when built.
+    events = sim.events
     if trace_sink is not None:
         events.subscribe(TraceBus(sinks=[trace_sink]))
     # Burst speed tier: the Dumbbell reads this flag and builds BatchLink

@@ -21,11 +21,11 @@ Design constraints, in order:
    coalesce per-packet facts (``send_burst``, ``push_all``, ``BatchLink``)
    read the same slots.  ``bench_obs_overhead`` gates the guard cost.
 
-2. **Determinism.**  ``emit`` stamps each fact with the simulation clock
-   (0.0 before the stream is attached to a simulator); each subscriber
-   numbers only what it records, so the trace, flight dump and spans are
-   pure functions of the config.  The subscribers keep the ATTR -> ACTION
-   pairing: the trace's last ``attr_seq``, the spans' last episode.
+2. **Determinism.**  ``emit`` stamps each fact with its simulator's
+   clock; each subscriber numbers only what it records, so the trace,
+   flight dump and spans are pure functions of the config.  The
+   subscribers keep the ATTR -> ACTION pairing: the trace's last
+   ``attr_seq``, the spans' last episode.
 
 3. **Serialisability.**  A pickled stream comes back disarmed, with no
    subscribers and no simulator; trace events, flight dumps and spans
@@ -51,17 +51,12 @@ class EventStream:
 
     __slots__ = tuple(ROUTES) + ("_sim", "_routes", "subscribers")
 
-    def __init__(self, sim=None) -> None:
+    def __init__(self, sim) -> None:
         self._sim = sim
         self._routes: dict[str, list] = {}
         self.subscribers: list = []
         for kind in ROUTES:
             setattr(self, kind, False)
-
-    def attach(self, sim) -> None:
-        """Make this the stream of ``sim`` (its clock stamps every fact)."""
-        self._sim = sim
-        sim.events = self
 
     def subscribe(self, subscriber):
         """Arm every kind ``subscriber`` records; returns it."""
@@ -78,18 +73,18 @@ class EventStream:
 
     def emit(self, kind: str, subject: Any = None, /, **fields: Any) -> None:
         """Hand one fact to every subscriber that records ``kind``."""
-        sim = self._sim
-        t = sim._now if sim is not None else 0.0
+        t = self._sim._now
         for h in self._routes[kind]:
             h(t, subject, fields)
 
     def __reduce__(self):
-        return (EventStream, ())  # come back disarmed (module docstring)
+        return (EventStream, (None,))  # disarmed (module docstring)
 
 
 #: Disarmed stream for components built without a simulator (a standalone
-#: queue, an unbound adaptation strategy); it refuses subscribers.
-NULL_STREAM = EventStream()
+#: queue, an unbound adaptation strategy); it refuses subscribers, so it
+#: never emits.
+NULL_STREAM = EventStream(None)
 
 
 class TraceBus:

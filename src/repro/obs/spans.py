@@ -126,9 +126,14 @@ class SpanRecorder:
     # Sender-side hooks (see repro.transport.base)
     # ------------------------------------------------------------------
     def on_segment(self, t: float, pkt: Packet, f) -> None:
-        """A segment of an application frame entered the send queue."""
+        """A segment of an application frame entered the send queue.
+
+        Every sender in the simulator emits segments; only the watched
+        flow's are tracked (cross traffic numbers its own chunks as
+        frames).  The later hooks resolve segments through the maps this
+        fills, so they need no flow check of their own."""
         fid = pkt.frame_id
-        if fid < 0:
+        if fid < 0 or pkt.flow_id != self._flow_id:
             return
         fr = self._frames.get(fid)
         if fr is None:

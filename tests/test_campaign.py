@@ -361,6 +361,44 @@ def test_worker_ignores_signals_after_the_first_interrupt(tmp_path,
             signal.signal(sig, handler)
 
 
+def _hang_adaptation():
+    time.sleep(300)
+
+
+def test_supervised_worker_exits_on_interrupt_mid_cell(tmp_path):
+    """With a timeout the cell runs under the supervisor, which turns ^C
+    into an "interrupted" row.  The worker must still end there: store
+    nothing for the cell, release its claim and write the "exited"
+    heartbeat, instead of running on with both signals ignored."""
+    import multiprocessing as mp
+    from repro.campaign.exec import _worker_main
+    from repro.obs.live import read_heartbeats
+    hang = ScenarioConfig(adaptation=_hang_adaptation, **TINY)
+    cells = [("k0", "hang-0", hang), ("k1", "hang-1", hang.replace(seed=2))]
+    store = CampaignStore(tmp_path, worker="probe")
+    proc = mp.get_context("fork").Process(
+        target=_worker_main,
+        args=(str(tmp_path), "w0", 30.0, cells, False, 120.0, 0))
+    proc.start()
+    try:
+        deadline = time.monotonic() + 30
+        while store.read_claim("k0") is None:
+            assert time.monotonic() < deadline, "cell never claimed"
+            time.sleep(0.05)
+        time.sleep(0.5)  # let the supervised run start
+        os.kill(proc.pid, signal.SIGINT)
+        proc.join(timeout=20)
+        assert not proc.is_alive(), "worker ran on after the interrupt"
+    finally:
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    assert store.done_keys() == set()
+    assert store.read_claim("k0") is None
+    [hb] = read_heartbeats(store.heartbeat_dir)
+    assert hb["state"] == "exited"
+
+
 def test_torn_cell_file_is_healed_on_rerun(tmp_path):
     """A cell result file that exists but does not unpickle (torn write)
     must be re-executed, not skipped-on-existence forever."""

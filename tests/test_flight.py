@@ -17,11 +17,11 @@ import pytest
 
 from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.invariants import InvariantViolation
-from repro.obs.bus import EventStream
 from repro.obs.flight import (DEFAULT_CAPACITY, FlightRecorder,
                               first_divergence, flight_from_env,
                               render_flight)
 from repro.runner import FailedResult, run_batch
+from repro.sim.engine import Simulator
 
 
 def _small(**kw) -> ScenarioConfig:
@@ -51,7 +51,7 @@ def hang_adaptation():
 def _noted(n, *, capacity):
     """A recorder that took ``n`` notes through an event stream."""
     fl = FlightRecorder(capacity=capacity)
-    ev = EventStream()
+    ev = Simulator().events
     ev.subscribe(fl)
     for i in range(n):
         ev.emit("violation", name="E", i=i)

@@ -69,6 +69,11 @@ def _scenarios() -> dict[str, ScenarioConfig]:
         faults=FaultSchedule(
             BurstyLoss(start=0.5, stop=6.0, p_gb=0.02, p_bg=0.25),
             Blackout(start=2.0, stop=3.0, direction="both")))
+    # TCP cross traffic numbers its chunks as frames 0, 1, ... in the same
+    # stream as the app's frames; the spans must keep only the app's.
+    out["tcp_cross"] = ScenarioConfig(
+        transport="iq", workload="fixed_clocked", n_frames=60,
+        tcp_cross_bytes=300_000, seed=3, time_cap=15.0)
     out["conflict"] = conflict._changing_app_config(80, 1)
     # Table 4's regime on plain RUDP: unmarked losses become skips.
     out["conflict_skips"] = conflict._changing_net_config(400, 1).replace(
@@ -426,6 +431,24 @@ GOLDEN: dict[str, dict[str, str]] = {
             "cce39ba71c48440893ee96f8b45c43e2f5378a2d0a4c645f6e0e8f57ac727786",
         "trace_ordered":
             "23c6d37fdbdea9af1a2f25cdf45a2048644c38afb1f425f12ece8f206010ca34",
+    },
+    "tcp_cross": {
+        "flight":
+            "7a07edbba6701a3c72c92b93f5099d05906465c746d55613314eb8ee8b00e055",
+        "ring_flight":
+            "262e9de97c42360ab8720144e143609ab88ccc8b44d55b7373812ec6b0c22217",
+        "ring_summary":
+            "d0a3d62cd58f96ddf2ed5c687f4183b573e916f629cdb45cb35a4a7c5ba1bda3",
+        "spans":
+            "dc816dbeee8512e0568941bdbc0479a25d72959cf242309837d2b27e3ab9b722",
+        "summary":
+            "d0a3d62cd58f96ddf2ed5c687f4183b573e916f629cdb45cb35a4a7c5ba1bda3",
+        "telemetry":
+            "8a13373b193af7df96387018355648118f50deb1f02675dbf8582347993421cf",
+        "trace_jsonl":
+            "afec413c118177d03ceac97e128861830430517e57e45c2a7ed66c0dc2b7cd58",
+        "trace_ordered":
+            "466809f237310129802acee4c2c7366d4b3a68ee3a05b3eb6f503bf428d6c546",
     },
 }
 

@@ -46,11 +46,9 @@ class TestDisarmedStream:
 
     def test_simulator_owns_an_attached_stream(self):
         sim = Simulator()
-        assert isinstance(sim.events, EventStream)
-        stream = EventStream()
-        stream.attach(sim)
-        assert sim.events is stream
-        sim._now = 2.5
+        stream = sim.events
+        assert isinstance(stream, EventStream)
+        sim._now = 2.5  # the simulator's clock stamps every fact
         sink = RingBufferSink()
         stream.subscribe(TraceBus(sinks=[sink]))
         stream.emit("ack", flow=1, ack=3, newly=1)
@@ -59,14 +57,14 @@ class TestDisarmedStream:
 
 class TestArming:
     def test_flight_ring_alone_arms_no_per_packet_kind(self):
-        ev = EventStream()
+        ev = Simulator().events
         ev.subscribe(FlightRecorder())
         recorded = armed(ev)
         assert recorded == {k for k, r in ROUTES.items() if r.label}
         assert not recorded & set(PER_PACKET)
 
     def test_each_subscriber_arms_what_it_records(self):
-        ev = EventStream()
+        ev = Simulator().events
         ev.subscribe(SpanRecorder())
         assert armed(ev) == {k for k, r in ROUTES.items() if r.span}
         ev.subscribe(TraceBus())
@@ -74,7 +72,7 @@ class TestArming:
                                    if r.span or r.etype}
 
     def test_pickled_stream_comes_back_disarmed(self):
-        ev = EventStream()
+        ev = Simulator().events
         ev.subscribe(TraceBus(sinks=[PoisonedSink()]))
         clone = pickle.loads(pickle.dumps(ev))
         assert armed(clone) == set() and clone.subscribers == []
@@ -115,14 +113,14 @@ class TestTraceBus:
 
     def test_fans_out_to_every_sink(self):
         a, b = RingBufferSink(), RingBufferSink()
-        ev = EventStream()
+        ev = Simulator().events
         ev.subscribe(TraceBus(sinks=[a, b]))
         ev.emit("adapt", trigger="upper")
         assert len(a) == len(b) == 1
         assert a.events == b.events
 
     def test_pickles_back_inert(self):
-        ev = EventStream()
+        ev = Simulator().events
         bus = ev.subscribe(TraceBus(sinks=[RingBufferSink()]))
         ev.emit("send", None, flow=1)
         clone = pickle.loads(pickle.dumps(bus))
@@ -133,17 +131,17 @@ class TestTraceBus:
         """Every hook site is written as ``if ev.<kind>: ev.emit(...)``;
         on a disarmed stream the sink (even a poisoned one) is
         unreachable."""
-        live = EventStream()
+        live = Simulator().events
         live.subscribe(TraceBus(sinks=[PoisonedSink()]))
         inert = pickle.loads(pickle.dumps(live))
-        for ev in (NULL_STREAM, inert, EventStream()):
+        for ev in (NULL_STREAM, inert, Simulator().events):
             for _ in range(100):
                 if ev.send:
                     ev.emit("send", None, flow=1)
 
     def test_paired_actions_carry_the_exchange_seq(self):
         sink = RingBufferSink()
-        ev = EventStream()
+        ev = Simulator().events
         ev.subscribe(TraceBus(sinks=[sink]))
         spans = ev.subscribe(SpanRecorder())
         ev.emit("attrs", flow=1, attrs={"ADAPT_MARK": 0.4})

@@ -7,12 +7,13 @@ import pytest
 from repro.core.attributes import (ADAPT_COND, ADAPT_MARK, ADAPT_PKTSIZE,
                                    ADAPT_WHEN, AttributeSet)
 from repro.core.coordination import IQCoordinator
-from repro.obs.bus import EventStream, TraceBus
+from repro.obs.bus import TraceBus
 from repro.obs.events import (ATTR_RECEIVED, COORD_ACTION, CWND_CHANGE,
                               PACKET_SEND)
 from repro.obs.report import (TIMELINE_EVENTS, coordination_audit,
                               render_audit, render_report, render_timeline)
 from repro.obs.sinks import RingBufferSink
+from repro.sim.engine import Simulator
 from repro.transport.lda import LdaCC
 
 
@@ -27,7 +28,7 @@ class TracedSender:
         self.flow_id = 1
         self._eratio = error_ratio
         self.sink = RingBufferSink()
-        self.events = EventStream()
+        self.events = Simulator().events
         self.events.subscribe(TraceBus(sinks=[self.sink]))
 
     def current_error_ratio(self):

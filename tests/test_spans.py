@@ -194,7 +194,7 @@ class TestLineageCli:
 # ----------------------------------------------------------------------
 def test_fuzz_compare_emits_forensics_record_on_mismatch():
     from repro.fuzz import FuzzReport, _compare
-    from repro.obs.bus import EventStream
+    from repro.sim.engine import Simulator
     from repro.obs.flight import FlightRecorder
 
     class _Res:
@@ -206,7 +206,7 @@ def test_fuzz_compare_emits_forensics_record_on_mismatch():
 
     def _flight(n):
         fl = FlightRecorder(capacity=8)
-        ev = EventStream()
+        ev = Simulator().events
         ev.subscribe(fl)
         for i in range(n):
             ev.emit("violation", name="E", i=i)
@@ -235,3 +235,17 @@ def test_fuzz_compare_identical_runs_emit_no_forensics():
     report = FuzzReport(budget=1, seed=1)
     _compare(report, "unit", 0, _cfg("iq"), _Res(), _Res())
     assert not report.mismatches and not report.forensics
+
+
+def test_tcp_cross_traffic_stays_out_of_the_app_lineage():
+    # The TCP cross-traffic source numbers its chunks as frames 0, 1, ...
+    # and emits into the same stream; none of it may join the app's frames.
+    alone = run_scenario(_cfg("iq"))
+    res = run_scenario(_cfg("iq", tcp_cross_bytes=200_000))
+    spans = res.spans
+    assert spans["frames_with_delivery"] == int(
+        res.summary["frames_completed"])
+    sizes = {fr["frame_id"]: fr["bytes"] for fr in alone.spans["frames"]}
+    assert {fr["frame_id"]: fr["bytes"] for fr in spans["frames"]} == sizes
+    for fr in spans["frames"]:
+        assert fr["bytes"] == sum(s["size"] for s in fr["segments"])
